@@ -6,11 +6,15 @@ S2 is assembled from the closed-orbit form
          - (1/2) (d/dE) \\oint p1^2 dt
 
 where Gamma dt is the restriction to the orbit of the curvature 1-form of
-p0.  E-derivatives are 5-point central differences across neighboring
-orbits, with one Richardson extrapolation at half step.  The pointwise
-Fourier-side density t1_value and the d1 bracket terms are kept for
-near-focal-arc verification; full-orbit quadrature of them is never
-attempted (they are singular at the well bottom).
+p0.  Every closed-orbit integral at one energy (S0, the period,
+\\oint p1 dt, \\oint p2 dt, \\oint Gamma dt, \\oint p1^2 dt) comes from one
+call of ``orbit.orbit_quadrature``; ODE-traced orbits serve only as the
+tests' reference (``gamma_integral``).  E-derivatives are 5-point central
+differences across neighboring energies, with one Richardson
+extrapolation at half step.  The pointwise Fourier-side density t1_value
+and the d1 bracket terms are kept for near-focal-arc verification;
+full-orbit quadrature of them is never attempted (they are singular at the
+well bottom).
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprjet import evaluate, jet_eval, is_zero_expr
-from .orbit import FocalFrame, Orbit, trace_orbit, orbit_integral, action_s0
+from .exprjet import evaluate, jet_eval
+from .orbit import orbit_integral, orbit_quadrature
 from .symbols import HamiltonianSymbol
 
 MASLOV_TERM = math.pi  # two simple focal points, pi/2 each
@@ -49,22 +53,10 @@ class ActionSeries:
     derivative_consistent: bool  # eta vs eta/2 estimates agreed to 1e-6
 
 
-def gamma_value(sym, point):
-    """Gamma at (x, xi): the curvature form of p0 restricted to the flow."""
-    j = jet_eval(sym.p0, point)
-    px, pxi = j.derivative(1, 0), j.derivative(0, 1)
-    pxx, pxxi, pxixi = j.derivative(2, 0), j.derivative(1, 1), j.derivative(0, 2)
-    return pxx * pxi * pxi - 2.0 * pxxi * px * pxi + pxixi * px * px
-
-
 def _gamma_on_samples(sym, x, xi):
-    if sym.schrodinger:
-        _, v1, v2 = sym.v_derivs(x)
-        return 4.0 * xi * xi * v2 + 2.0 * v1 * v1
-    out = np.empty_like(np.asarray(x, dtype=float))
-    for k, (xk, xik) in enumerate(zip(np.atleast_1d(x), np.atleast_1d(xi))):
-        out[k] = gamma_value(sym, (xk, xik))
-    return out
+    """Gamma at (x, xi) for p0 = xi^2 + V: 4 xi^2 V'' + 2 V'^2."""
+    _, v1, v2 = sym.v_derivs(x)
+    return 4.0 * xi * xi * v2 + 2.0 * v1 * v1
 
 
 def gamma_integral(sym, orb, rel_tol=1e-12):
@@ -84,40 +76,37 @@ def _d2_5pt(values, eta):
     return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * eta * eta)
 
 
-def action_series(sym, e, eta, rtol=1e-12, quad_tol=1e-12,
-                  s2_sign=None, _orbit_cache=None):
+def action_series(sym, e, eta, quad_tol=1e-12):
     """Compute the action series at energy e with E-derivative step eta."""
-    cache = _orbit_cache if _orbit_cache is not None else {}
 
-    def orb_at(energy):
-        key = round(energy, 14)
-        if key not in cache:
-            cache[key] = trace_orbit(sym, energy, rtol=rtol)
-        return cache[key]
+    def gamma(x, xi):
+        return _gamma_on_samples(sym, x, xi)
 
-    base = orb_at(e)
-    s0 = action_s0(base, rel_tol=quad_tol)
-    period = base.period
+    def p1(x, xi):
+        return evaluate(sym.p1, x, xi) + 0.0 * x
 
-    p1_zero = is_zero_expr(sym.p1)
-    p2_zero = is_zero_expr(sym.p2)
+    def p2(x, xi):
+        return evaluate(sym.p2, x, xi) + 0.0 * x
 
-    sub = 0.0 if p1_zero else orbit_integral(
-        base, lambda x, xi: evaluate(sym.p1, x, xi) + 0.0 * x, rel_tol=quad_tol)
-    p2_int = 0.0 if p2_zero else orbit_integral(
-        base, lambda x, xi: evaluate(sym.p2, x, xi) + 0.0 * x, rel_tol=quad_tol)
+    def p1_sq(x, xi):
+        return p1(x, xi) ** 2
+
+    def one(x, xi):
+        return np.ones_like(x)
+
+    # integrands differentiated in E: oint Gamma dt and oint p1^2 dt
+    stencil_fs = [gamma, p1_sq]
+    s0, (period, sub, p2_int, *at_e) = orbit_quadrature(
+        sym, e, [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
 
     # stencil energies for step eta and eta/2 (Richardson)
     offsets = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-    g_vals = {}
-    q_vals = {}
-    for off in offsets:
-        orb = orb_at(e + off * eta)
-        g_vals[off] = gamma_integral(sym, orb, rel_tol=quad_tol)
-        if not p1_zero:
-            q_vals[off] = orbit_integral(
-                orb, lambda x, xi: evaluate(sym.p1, x, xi) ** 2 + 0.0 * x,
-                rel_tol=quad_tol)
+    stencil_vals = {
+        off: at_e if off == 0.0 else orbit_quadrature(
+            sym, e + off * eta, stencil_fs, rel_tol=quad_tol)[1]
+        for off in offsets}
+    g_vals = {off: v[0] for off, v in stencil_vals.items()}
+    q_vals = {off: v[1] for off, v in stencil_vals.items()}
 
     def stencil(vals, offs):
         return [vals[o] for o in offs]
@@ -130,14 +119,11 @@ def action_series(sym, e, eta, rtol=1e-12, quad_tol=1e-12,
     gamma_dd = (16.0 * g_dd_half - g_dd_eta) / 15.0
     consistent = abs(g_dd_eta - g_dd_half) <= 1e-6 * (1.0 + abs(gamma_dd))
 
-    if p1_zero:
-        p1sq_d = 0.0
-    else:
-        q_d_eta = _d1_5pt(stencil(q_vals, full), eta)
-        q_d_half = _d1_5pt(stencil(q_vals, half), 0.5 * eta)
-        p1sq_d = (16.0 * q_d_half - q_d_eta) / 15.0
-        consistent = consistent and (
-            abs(q_d_eta - q_d_half) <= 1e-6 * (1.0 + abs(p1sq_d)))
+    q_d_eta = _d1_5pt(stencil(q_vals, full), eta)
+    q_d_half = _d1_5pt(stencil(q_vals, half), 0.5 * eta)
+    p1sq_d = (16.0 * q_d_half - q_d_eta) / 15.0
+    consistent = consistent and (
+        abs(q_d_eta - q_d_half) <= 1e-6 * (1.0 + abs(p1sq_d)))
 
     s2 = gamma_dd / 48.0 - p2_int - 0.5 * p1sq_d
     return ActionSeries(

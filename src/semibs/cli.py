@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wronlab
+from .exprjet import ExprDomainError, ExprSyntaxError
 from .oracle import OracleConfig, OracleError, oracle_spectrum
 from .orbit import ConvergenceError, OrbitError
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
@@ -50,7 +51,6 @@ class RunConfig:
     energy_max: float = 1.0
     order: int = 2
     quad_tol: float = 1e-10
-    ode_tol: float = 1e-10
     root_tol: float = 1e-10
     eta: float | None = None  # default 0.02 * window span
     halfwidth_factor: float = 2.0
@@ -64,7 +64,7 @@ class RunConfig:
             raise ConfigError(f"order must be 0, 1 or 2, got {self.order}")
         if not self.energy_min < self.energy_max:
             raise ConfigError("energy_min must be below energy_max")
-        for name in ("quad_tol", "ode_tol", "root_tol", "shoot_tol"):
+        for name in ("quad_tol", "root_tol", "shoot_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.eta is not None and self.eta <= 0:
@@ -104,7 +104,6 @@ class RunConfig:
         cp["solver"] = {
             "order": str(self.order),
             "quad_tol": repr(self.quad_tol),
-            "ode_tol": repr(self.ode_tol),
             "root_tol": repr(self.root_tol),
             "eta": repr(self.eta_value),
         }
@@ -151,7 +150,6 @@ def parse_config(text):
     cfg.energy_max = get("problem", "energy_max", float, cfg.energy_max)
     cfg.order = get("solver", "order", int, cfg.order)
     cfg.quad_tol = get("solver", "quad_tol", float, cfg.quad_tol)
-    cfg.ode_tol = get("solver", "ode_tol", float, cfg.ode_tol)
     cfg.root_tol = get("solver", "root_tol", float, cfg.root_tol)
     cfg.eta = get("solver", "eta", float, cfg.eta)
     cfg.halfwidth_factor = get("oracle", "halfwidth_factor", float,
@@ -197,8 +195,7 @@ def cmd_spectrum(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
     table = bs_solve(sym, h, cfg.window, order=cfg.order, eta=cfg.eta_value,
-                     quad_tol=cfg.quad_tol, ode_tol=cfg.ode_tol,
-                     root_tol=cfg.root_tol)
+                     quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
     if sym.schrodinger:
         attach_oracle(table, oracle_spectrum(sym, h, cfg.window,
                                              _oracle_cfg(cfg)))
@@ -216,7 +213,7 @@ def cmd_gram_scan(cfg, out, steps=200):
     h = cfg.hbar[0]
     evals, zeros = gram_scan(sym, cfg.window, h, steps=steps,
                              order=cfg.order, eta=cfg.eta_value,
-                             quad_tol=cfg.quad_tol, ode_tol=cfg.ode_tol)
+                             quad_tol=cfg.quad_tol)
     es = np.array([g.e for g in evals])
     flagged = set()
     for z in zeros:
@@ -246,8 +243,7 @@ def cmd_convergence(cfg, out):
     rows = []
     for h in cfg.hbar:
         table = bs_solve(sym, h, cfg.window, order=2, eta=cfg.eta_value,
-                         quad_tol=cfg.quad_tol, ode_tol=cfg.ode_tol,
-                         root_tol=cfg.root_tol)
+                         quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
         ref = oracle_spectrum(sym, h, cfg.window, _oracle_cfg(cfg))
         n = min(len(ref), len(table.rows))
         err0 = max(abs(a - b) for a, b in zip(table.energies(0)[:n], ref[:n]))
@@ -362,7 +358,8 @@ def main(argv=None):
         else:
             sys.stdout.write(buf.getvalue())
         return code
-    except (ConfigError, SymbolError) as exc:
+    except (ConfigError, SymbolError, ExprSyntaxError,
+            ExprDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, OrbitError, OracleError, QuantizeError,

@@ -1,17 +1,25 @@
-"""Periodic-orbit tracing for a single-well Hamiltonian.
+"""Orbit integrals over gamma_E for a single-well Hamiltonian p0 = xi^2 + V.
 
-The flow of p0 = xi^2 + V(x) is integrated with an adaptive high-order
-Runge-Kutta pair; the period is detected on the Poincare section xi = 0
-(same-orientation crossing near the right turning point) and refined on
-the dense output.  Orbit integrals of the form \\oint f dt use uniform
-resampling of the dense output plus the trapezoid rule, which converges
-spectrally for smooth periodic integrands.
+``orbit_quadrature`` is the path the action series and the quantization
+condition use.  On gamma_E every closed-orbit integral is an integral over
+[x_l, x_r]: with xi+ = sqrt(E - V), S0 = 2 int xi+ dx and
+
+    \\oint f dt = int (f(x, xi+) + f(x, -xi+)) / (2 xi+) dx.
+
+The substitution x = mid - rad cos(theta) removes the square-root end
+singularities, and Gauss-Legendre in theta converges spectrally.
+
+The ODE route is kept as the independent reference the tests compare the
+quadrature against: ``trace_orbit`` integrates the Hamilton flow with an
+adaptive high-order Runge-Kutta pair, detects the period on the Poincare
+section xi = 0 and refines it on the dense output; ``orbit_integral``
+resamples the dense output uniformly and applies the trapezoid rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -58,9 +66,11 @@ def _well_minimum(sym, e):
     xs = np.linspace(lo, hi, 2001)
     vs = sym.v(xs)
     i0 = int(np.argmin(vs))
-    res = minimize_scalar(sym.v, bracket=(xs[max(i0 - 1, 0)], xs[i0],
-                                          xs[min(i0 + 1, len(xs) - 1)]),
-                          method="brent", options={"xtol": 1e-13})
+    # bounds, not a bracket: a grid neighbour may tie with the grid minimum,
+    # which a bracket refuses
+    res = minimize_scalar(sym.v, bounds=(xs[max(i0 - 1, 0)],
+                                         xs[min(i0 + 1, len(xs) - 1)]),
+                          method="bounded", options={"xatol": 1e-13})
     return float(res.x)
 
 
@@ -200,18 +210,59 @@ def orbit_integral(orb, f, rel_tol=1e-10, n0=64, max_refine=6):
 
 def action_s0(orb, rel_tol=1e-10):
     """S0 = \\oint xi dx, evaluated as \\oint xi * (d_xi p0) dt."""
-    if orb.symbol.schrodinger:
-        return orbit_integral(orb, lambda x, xi: 2.0 * xi * xi, rel_tol=rel_tol)
+    return orbit_integral(orb, lambda x, xi: 2.0 * xi * xi, rel_tol=rel_tol)
 
-    p0 = orb.symbol.p0
 
-    def f(x, xi):
-        out = np.empty_like(np.asarray(x, dtype=float))
-        for k, (xk, xik) in enumerate(zip(np.atleast_1d(x), np.atleast_1d(xi))):
-            out[k] = xik * jet_eval(p0, (xk, xik)).derivative(0, 1)
-        return out
+@lru_cache(maxsize=None)
+def _gl_theta(n):
+    """(cos theta, sin theta * weight) of n-point Gauss-Legendre on [0, pi]."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    theta = 0.5 * np.pi * (t + 1.0)
+    cos, jac = np.cos(theta), 0.5 * np.pi * w * np.sin(theta)
+    cos.flags.writeable = jac.flags.writeable = False
+    return cos, jac
 
-    return orbit_integral(orb, f, rel_tol=rel_tol)
+
+QUAD_NODES = 32       # first Gauss-Legendre node count, doubled per refinement
+QUAD_REFINEMENTS = 5
+
+
+def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
+    """(S0, [\\oint f dt for f in fs]) at energy e, from one quadrature.
+
+    Each ``f(x, xi)`` must accept numpy arrays.  On [x_l, x_r], with
+    x = mid - rad cos(theta), S0 = 2 int xi+ rad sin(theta) dtheta and
+    \\oint f dt = int (f(x, xi+) + f(x, -xi+)) rad sin(theta) / (2 xi+) dtheta,
+    whose integrands are smooth in theta.  The Gauss-Legendre node count
+    is doubled from QUAD_NODES until two successive values of every
+    integral agree to rel_tol; ConvergenceError after QUAD_REFINEMENTS
+    doublings.
+    """
+    if not sym.schrodinger:
+        raise SymbolError("orbit_quadrature requires a Schrodinger symbol")
+    xl, xr = turning_points(sym, e)
+    mid, rad = 0.5 * (xl + xr), 0.5 * (xr - xl)
+
+    def integrals(n):
+        cos, jac = _gl_theta(n)
+        x = mid - rad * cos
+        xi = np.sqrt(np.maximum(e - sym.v(x), 0.0))
+        # rad sin(theta) / xi+ stays finite at both ends
+        dt = rad * jac / (2.0 * np.maximum(xi, 1e-150))
+        vals = [2.0 * rad * float(np.sum(xi * jac))]
+        vals += [float(np.sum((f(x, xi) + f(x, -xi)) * dt)) for f in fs]
+        return np.array(vals)
+
+    n = QUAD_NODES
+    prev = integrals(n)
+    for _ in range(QUAD_REFINEMENTS):
+        n *= 2
+        cur = integrals(n)
+        if np.all(np.abs(cur - prev) <= rel_tol * (1.0 + np.abs(cur))):
+            return float(cur[0]), [float(v) for v in cur[1:]]
+        prev = cur
+    raise ConvergenceError("orbit quadrature did not converge "
+                           f"after {QUAD_REFINEMENTS} refinements at E = {e}")
 
 
 class FocalFrame:

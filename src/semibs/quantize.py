@@ -2,12 +2,15 @@
 
 The level condition solved here is
 
-    S0(E) - h \\oint p1 dt + s2_sign h^2 S2(E) = 2 pi h (k + 1/2),
+    S0(E) - h \\oint p1 dt + h^2 (s2_sign (G/48 - P/2) - \\oint p2 dt)
+        = 2 pi h (k + 1/2),
 
-with the Maslov contribution of the two focal points folded into the
-half-integer offset.  The Gram determinant is the closed form
--cos^2(action_diff/(2h) + pi/2) whose zero set coincides with the level
-set of the condition above.
+with G = (d/dE)^2 \\oint Gamma dt, P = (d/dE) \\oint p1^2 dt, and the Maslov
+contribution of the two focal points folded into the half-integer offset.
+S0 and the orbit integrals come from ``orbit.orbit_quadrature`` (through
+``actions.action_series`` at order 2); no ODE orbit is traced here.  The
+Gram determinant is the closed form -cos^2(action_diff/(2h) + pi/2) whose
+zero set coincides with the level set of the condition above.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .actions import action_series
-from .exprjet import evaluate, is_zero_expr
-from .orbit import action_s0, orbit_integral, trace_orbit
+from .exprjet import evaluate
+from .orbit import orbit_quadrature
 from .symbols import EnergyWindow, HamiltonianSymbol
 
 # Overall sign of the h^2 term, calibrated once against the independent
@@ -66,57 +69,42 @@ class GramEval:
 
 
 class _SeriesEvaluator:
-    """Truncated action series S_eff(E) with shared orbit/series caches."""
+    """Truncated action series S_eff(E) at one order."""
 
-    def __init__(self, sym, h, order, eta, quad_tol=1e-12, ode_tol=1e-12,
-                 s2_sign=None):
+    def __init__(self, sym, h, order, eta, quad_tol=1e-12, s2_sign=None):
         self.sym = sym
         self.h = h
         self.order = order
         self.eta = eta
         self.quad_tol = quad_tol
-        self.ode_tol = ode_tol
         self.s2_sign = S2_SIGN if s2_sign is None else s2_sign
-        self.p1_zero = is_zero_expr(sym.p1)
-        self._orbits = {}
-        self._series = {}
-
-    def orbit(self, e):
-        key = round(e, 14)
-        if key not in self._orbits:
-            self._orbits[key] = trace_orbit(self.sym, e, rtol=self.ode_tol)
-        return self._orbits[key]
+        self.p1 = lambda x, xi: evaluate(sym.p1, x, xi) + 0.0 * x
 
     def s0(self, e):
-        return action_s0(self.orbit(e), rel_tol=self.quad_tol)
+        return orbit_quadrature(self.sym, e, rel_tol=self.quad_tol)[0]
 
-    def sub_principal(self, e):
-        if self.p1_zero:
-            return 0.0
-        return orbit_integral(
-            self.orbit(e),
-            lambda x, xi: evaluate(self.sym.p1, x, xi) + 0.0 * x,
-            rel_tol=self.quad_tol)
-
-    def s2(self, e):
-        key = round(e, 14)
-        if key not in self._series:
-            self._series[key] = action_series(
-                self.sym, e, self.eta, rtol=self.ode_tol,
-                quad_tol=self.quad_tol, _orbit_cache=self._orbits)
-        return self._series[key].s2
+    def split(self, e):
+        """(S0, the terms beyond S0 at the working order) at energy e."""
+        h = self.h
+        if self.order == 2:
+            ser = action_series(self.sym, e, self.eta, quad_tol=self.quad_tol)
+            # s2_sign scales the curvature and p1^2 parts of S2; the p2
+            # term enters as -h^2 oint p2 dt
+            s2 = self.s2_sign * (ser.gamma_dd / 48.0 - 0.5 * ser.p1sq_d)
+            return ser.s0, -h * ser.sub_principal + h * h * (s2 - ser.p2_int)
+        if self.order == 1:
+            s0, (sub,) = orbit_quadrature(self.sym, e, [self.p1],
+                                          rel_tol=self.quad_tol)
+            return s0, -h * sub
+        return self.s0(e), 0.0
 
     def correction(self, e):
         """The terms beyond S0 at the working order."""
-        c = 0.0
-        if self.order >= 1:
-            c -= self.h * self.sub_principal(e)
-        if self.order >= 2:
-            c += self.s2_sign * self.h * self.h * self.s2(e)
-        return c
+        return self.split(e)[1]
 
     def value(self, e):
-        return self.s0(e) + self.correction(e)
+        s0, correction = self.split(e)
+        return s0 + correction
 
 
 def _monotone_s0_grid(ev, e_min, e_max, n=33):
@@ -130,20 +118,17 @@ def _monotone_s0_grid(ev, e_min, e_max, n=33):
 
 def _solve_s0(ev, es, vals, target, root_tol):
     """Root of S0(E) = target using the precomputed monotone grid."""
-    if target <= vals[0]:
-        lo, hi = es[0], es[1]
-    elif target >= vals[-1]:
-        lo, hi = es[-2], es[-1]
-    else:
-        i = int(np.searchsorted(vals, target))
-        lo, hi = es[i - 1], es[i]
+    i = min(max(int(np.searchsorted(vals, target)), 1), len(es) - 1)
+    lo, hi = es[i - 1], es[i]
+    f_lo, f_hi = vals[i - 1] - target, vals[i] - target
     # widen the bracket if the target sits at (or just past) a window edge
     span = es[-1] - es[0]
     f = lambda e: ev.s0(e) - target
     for _ in range(12):
-        if f(lo) <= 0 <= f(hi):
+        if f_lo <= 0 <= f_hi:
             break
         lo, hi = lo - 0.05 * span, hi + 0.05 * span
+        f_lo, f_hi = f(lo), f(hi)
     else:
         raise QuantizeError(f"could not bracket the level S0 = {target}")
     return brentq(f, lo, hi, xtol=root_tol, rtol=4 * np.finfo(float).eps)
@@ -186,8 +171,8 @@ def _dense_scan_roots(ev, e_min, e_max, target, root_tol, steps=801):
     return roots
 
 
-def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, ode_tol=1e-12,
-             root_tol=1e-10, s2_sign=None):
+def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
+             s2_sign=None):
     """Solve the quantization condition on the window at the given order.
 
     Returns a SpectrumTable whose rows carry the eigenvalue at every order
@@ -202,14 +187,9 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, ode_tol=1e-12,
         eta = 0.02 * span
 
     evaluators = [
-        _SeriesEvaluator(sym, h, m, eta, quad_tol=quad_tol, ode_tol=ode_tol,
-                         s2_sign=s2_sign)
+        _SeriesEvaluator(sym, h, m, eta, quad_tol=quad_tol, s2_sign=s2_sign)
         for m in range(order + 1)
     ]
-    # all orders share one orbit cache
-    for ev in evaluators[1:]:
-        ev._orbits = evaluators[0]._orbits
-        ev._series = getattr(evaluators[-1], "_series")
     ev_top = evaluators[-1]
 
     es, vals = _monotone_s0_grid(ev_top, window.e_min, window.e_max)
@@ -255,8 +235,8 @@ def attach_oracle(table, oracle_energies):
     return table
 
 
-def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, ode_tol=1e-12,
-             s2_sign=None, _evaluator=None):
+def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None,
+             _evaluator=None):
     """Analytic Gram determinant at energy e.
 
     action_diff is the difference of the two generalized branch actions,
@@ -269,7 +249,7 @@ def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, ode_tol=1e-12,
         if eta is None:
             eta = 0.02 * max(abs(e), 1.0)
         ev = _SeriesEvaluator(sym, h, order, eta, quad_tol=quad_tol,
-                              ode_tol=ode_tol, s2_sign=s2_sign)
+                              s2_sign=s2_sign)
     s_eff = ev.value(e)
     action_diff = s_eff - math.pi * h
     det = -math.cos(0.5 * action_diff / h + MASLOV_PHASE) ** 2
@@ -278,7 +258,7 @@ def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, ode_tol=1e-12,
 
 
 def gram_scan(sym, window, h, steps=200, order=2, eta=None, quad_tol=1e-12,
-              ode_tol=1e-12, s2_sign=None, zero_tol=1e-6):
+              s2_sign=None, zero_tol=1e-6):
     """Scan the Gram determinant on a uniform grid and localize its zeros.
 
     Returns (evals, zeros): the grid of GramEval records and the refined
@@ -290,7 +270,7 @@ def gram_scan(sym, window, h, steps=200, order=2, eta=None, quad_tol=1e-12,
     if eta is None:
         eta = 0.02 * span
     ev = _SeriesEvaluator(sym, h, order, eta, quad_tol=quad_tol,
-                          ode_tol=ode_tol, s2_sign=s2_sign)
+                          s2_sign=s2_sign)
 
     es = np.linspace(window.e_min, window.e_max, steps)
     evals = [gram_det(sym, e, h, order, _evaluator=ev) for e in es]

@@ -166,8 +166,10 @@ def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
         report.ok = False
         report.failures.append("potential minimum not interior to scan domain")
         return report
-    res = minimize_scalar(sym.v, bracket=(xs[i0 - 1], xs[i0], xs[i0 + 1]),
-                          method="brent", options={"xtol": 1e-13})
+    # bounds, not a bracket: a grid neighbour may tie with the grid minimum,
+    # which a bracket refuses
+    res = minimize_scalar(sym.v, bounds=(xs[i0 - 1], xs[i0 + 1]),
+                          method="bounded", options={"xatol": 1e-13})
     report.x0 = float(res.x)
     report.v_min = float(res.fun)
     if not report.v_min < window.e_min:

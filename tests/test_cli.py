@@ -109,7 +109,32 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  str(tmp_path / "missing.ini")]) == EXIT_VALIDATION
     assert main(["convergence", "--config",
                  _write(tmp_path, BASE_CONFIG)]) == EXIT_VALIDATION
+    bad_syntax = BASE_CONFIG.replace('"x^2"', '"x^^2"')
+    assert main(["spectrum", "--config",
+                 _write(tmp_path, bad_syntax)]) == EXIT_VALIDATION
+    bad_domain = BASE_CONFIG.replace('"x^2"', '"log(x)"')
+    assert main(["spectrum", "--config",
+                 _write(tmp_path, bad_domain)]) == EXIT_VALIDATION
     capsys.readouterr()
+
+
+def test_grid_tie_potentials_exit_0(tmp_path, capsys):
+    # minima half-way between grid points of the turning-point scan (0.15)
+    # and of validate_well's scan (0.155)
+    for c in (0.15, 0.155):
+        text = BASE_CONFIG.replace('"x^2"', f'"x^2 + 0.1*(0.2 + {c}*x)"') \
+                          .replace("hbar = 0.2", "hbar = 0.1") \
+                          .replace("energy_min = 0.05", "energy_min = 0.1") \
+                          .replace("energy_max = 1.1", "energy_max = 0.6")
+        assert main(["spectrum", "--config",
+                     _write(tmp_path, text)]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 4
+        # the shifted oscillator: E = h(2n+1) + 0.02 - 0.0025 c^2
+        for line in lines[1:]:
+            n, e0 = line.split(",")[:2]
+            assert float(e0) == pytest.approx(
+                0.1 * (2 * int(n) + 1) + 0.02 - 0.0025 * c * c, abs=1e-9)
 
 
 def test_nonconvergence_exits_3(tmp_path, capsys):

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from semibs.orbit import (FocalFrame, action_s0, orbit_integral, trace_orbit,
+from semibs.actions import gamma_integral
+from semibs.exprjet import evaluate
+from semibs.orbit import (ConvergenceError, FocalFrame, action_s0,
+                          orbit_integral, orbit_quadrature, trace_orbit,
                           turning_points)
-from semibs.symbols import builtin
+from semibs.symbols import builtin, from_potential
 
 
 ALL_WELLS = [
@@ -33,6 +36,53 @@ def test_turning_points_sit_on_level_set():
             assert sym.v(xl) == pytest.approx(e, abs=1e-11)
             assert sym.v(xr) == pytest.approx(e, abs=1e-11)
             assert xl < xr
+
+
+def test_turning_points_when_grid_neighbours_tie():
+    # the scan grid puts this minimum half-way between two grid points,
+    # so both neighbours of the grid minimum tie
+    sym = from_potential("x^2 + 0.1*(0.2 + 0.15*x)")
+    xl, xr = turning_points(sym, 0.5)
+    assert sym.v(xl) == pytest.approx(0.5, abs=1e-11)
+    assert sym.v(xr) == pytest.approx(0.5, abs=1e-11)
+    assert xl < -0.0075 < xr
+
+
+def test_quadrature_matches_ode_reference():
+    """S0 and oint f dt from one quadrature against trace_orbit plus
+    orbit_integral, for 1, p1, p2, Gamma and p1^2 (p1 odd in xi)."""
+    terms = {"p1": "1 + x + 0.1*xi", "p2": "0.5 + x^2 + 0.3*xi^2"}
+    for name, params in ALL_WELLS:
+        sym = builtin(name, {**params, **terms})
+
+        def p1(x, xi):
+            return evaluate(sym.p1, x, xi) + 0.0 * x
+
+        def p2(x, xi):
+            return evaluate(sym.p2, x, xi) + 0.0 * x
+
+        def gamma(x, xi):
+            _, v1, v2 = sym.v_derivs(x)
+            return 4.0 * xi * xi * v2 + 2.0 * v1 * v1
+
+        fs = [lambda x, xi: np.ones_like(x), p1, p2, gamma,
+              lambda x, xi: p1(x, xi) ** 2]
+        for e in (0.3, 0.9):
+            s0, ints = orbit_quadrature(sym, e, fs)
+            orb = trace_orbit(sym, e)
+            ref = [action_s0(orb, rel_tol=1e-12), orb.period,
+                   orbit_integral(orb, p1, rel_tol=1e-12),
+                   orbit_integral(orb, p2, rel_tol=1e-12),
+                   gamma_integral(sym, orb),
+                   orbit_integral(orb, fs[4], rel_tol=1e-12)]
+            for got, want in zip([s0] + ints, ref):
+                assert got == pytest.approx(want, rel=1e-9), (name, e)
+
+
+def test_quadrature_refuses_a_kinked_well():
+    # V = |x| has a kink at the minimum: the node doublings never agree
+    with pytest.raises(ConvergenceError):
+        orbit_quadrature(from_potential("sqrt(x^2)"), 0.5)
 
 
 def test_energy_conservation_along_orbits():

@@ -1,10 +1,12 @@
 """Quantization-condition solving and the analytic Gram determinant."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from semibs import orbit
 from semibs.oracle import oracle_spectrum
 from semibs.quantize import (QuantizeError, attach_oracle, bs_solve,
                              convergence_fit, gram_det, gram_scan)
@@ -34,6 +36,34 @@ def test_subprincipal_shift_covariance(harmonic, window):
     pert = bs_solve(shifted, h, window, order=1)
     for rb, rp in zip(base.rows, pert.rows):
         assert rp.e_order1 - rb.e_order1 == pytest.approx(c * h, abs=1e-8)
+
+
+def test_constant_p2_shifts_levels_by_c_h2():
+    # -h^2 d^2/dx^2 + x^2 + c h^2: every level moves up by exactly c h^2
+    c, h = 2.0, 0.05
+    sym = builtin("harmonic", {"p2": f"{c}"})
+    table = bs_solve(sym, h, EnergyWindow(0.1, 0.5), order=2)
+    assert [r.n for r in table.rows] == [1, 2, 3, 4]
+    assert table.rows[0].e_order2 == pytest.approx(0.155, abs=1e-9)
+    for r in table.rows:
+        assert r.e_order0 == pytest.approx(h * (2 * r.n + 1), abs=1e-10)
+        assert r.e_order2 - r.e_order0 == pytest.approx(c * h * h, abs=1e-9)
+
+
+def test_quantize_path_traces_no_orbit(monkeypatch, window):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace_orbit called on the quantize path")
+
+    original = orbit.trace_orbit
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "semibs" and \
+                getattr(module, "trace_orbit", None) is original:
+            monkeypatch.setattr(module, "trace_orbit", refuse)
+    sym = builtin("anharmonic", {"lam": 0.3, "p1": "0.2*x", "p2": "0.5"})
+    assert bs_solve(sym, 0.1, window, order=2).rows
+    for order in (0, 1, 2):
+        _, zeros = gram_scan(sym, window, 0.1, steps=40, order=order)
+        assert zeros
 
 
 def test_order_monotonicity_quartic(quartic, window):

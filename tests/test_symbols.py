@@ -82,6 +82,19 @@ def test_validate_well_rejects_unconfined_window():
     assert not report.ok
 
 
+def test_validate_well_when_grid_neighbours_tie():
+    # minima half-way between two points of the orbit scan grid (0.15) and
+    # of this function's own 4001-point grid (0.155)
+    window = EnergyWindow(0.1, 0.6)
+    for c in (0.15, 0.155):
+        sym = from_potential(f"x^2 + 0.1*(0.2 + {c}*x)")
+        report = validate_well(sym, window)
+        assert report.ok, report.failures
+        assert report.x0 == pytest.approx(-0.05 * c, abs=1e-7)
+        assert report.v_min == pytest.approx(0.02 - 0.0025 * c * c,
+                                             abs=1e-13)
+
+
 def test_well_minimum_location(window):
     sym = builtin("morse", {"D": 3.0, "a": 0.5})
     report = validate_well(sym, window)
