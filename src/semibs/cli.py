@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wronlab
-from .exprjet import ExprDomainError, ExprSyntaxError
+from .exprjet import (ExprDomainError, ExprSyntaxError, is_zero_expr,
+                      variables)
 from .oracle import OracleConfig, OracleError, oracle_spectrum
 from .orbit import ConvergenceError, OrbitError
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
@@ -191,14 +192,33 @@ def _oracle_cfg(cfg):
                         shoot_tol=cfg.shoot_tol)
 
 
+_NO_ORACLE = "the oracle needs p1, p2 in x only and one well V+h*p1+h^2*p2"
+
+
+def _oracle_levels(cfg, sym, h):
+    """Node count -> oracle eigenvalue in the window for the operator the
+    levels approximate, -h^2 d^2/dx^2 + V + h p1 + h^2 p2; None when p1 or
+    p2 reads xi or V + h p1 + h^2 p2 is not a single well on the window."""
+    if not (is_zero_expr(sym.p1) and is_zero_expr(sym.p2)):
+        if "xi" in variables(sym.p1) | variables(sym.p2):
+            return None
+        sym = from_potential(f"({cfg.potential}) + {h!r}*({cfg.p1})"
+                             f" + {h * h!r}*({cfg.p2})")
+        if not validate_well(sym, cfg.window):
+            return None
+    energies, counts = oracle_spectrum(sym, h, cfg.window, _oracle_cfg(cfg),
+                                       return_counts=True)
+    return dict(zip(counts, energies))
+
+
 def cmd_spectrum(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
     table = bs_solve(sym, h, cfg.window, order=cfg.order, eta=cfg.eta_value,
                      quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
-    if sym.schrodinger:
-        attach_oracle(table, oracle_spectrum(sym, h, cfg.window,
-                                             _oracle_cfg(cfg)))
+    levels = _oracle_levels(cfg, sym, h)
+    if levels is not None:
+        attach_oracle(table, levels)
     out.write("n,E_bs0,E_bs1,E_bs2,E_oracle,err0,err2\n")
     for row in table.rows:
         out.write(",".join([str(row.n), _fmt(row.e_order0),
@@ -226,12 +246,11 @@ def cmd_gram_scan(cfg, out, steps=200):
 
 def cmd_oracle(cfg, out):
     sym = _validated_symbol(cfg)
-    if not sym.schrodinger:
-        raise ConfigError("the oracle requires a Schrodinger symbol")
-    h = cfg.hbar[0]
-    energies = oracle_spectrum(sym, h, cfg.window, _oracle_cfg(cfg))
+    levels = _oracle_levels(cfg, sym, cfg.hbar[0])
+    if levels is None:
+        raise ConfigError(_NO_ORACLE)
     out.write("n,E\n")
-    for n, e in enumerate(energies):
+    for n, e in levels.items():
         out.write(f"{n},{_fmt(e)}\n")
     return EXIT_OK
 
@@ -244,11 +263,16 @@ def cmd_convergence(cfg, out):
     for h in cfg.hbar:
         table = bs_solve(sym, h, cfg.window, order=2, eta=cfg.eta_value,
                          quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
-        ref = oracle_spectrum(sym, h, cfg.window, _oracle_cfg(cfg))
-        n = min(len(ref), len(table.rows))
-        err0 = max(abs(a - b) for a, b in zip(table.energies(0)[:n], ref[:n]))
-        err2 = max(abs(a - b) for a, b in zip(table.energies(2)[:n], ref[:n]))
-        rows.append((h, err0, err2))
+        levels = _oracle_levels(cfg, sym, h)
+        if levels is None:
+            raise ConfigError(_NO_ORACLE)
+        paired = [r for r in attach_oracle(table, levels).rows
+                  if r.e_oracle is not None]
+        if not paired:
+            raise QuantizeError(f"no level at h = {h} pairs with an "
+                                "oracle level")
+        rows.append((h, max(r.err0 for r in paired),
+                     max(r.err2 for r in paired)))
     out.write("h,max_err_order0,max_err_order2\n")
     for h, e0, e2 in rows:
         out.write(f"{_fmt(h)},{_fmt(e0)},{_fmt(e2)}\n")

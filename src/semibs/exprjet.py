@@ -341,9 +341,6 @@ class Jet2:
         """Return d^i_x d^j_xi f at the base point."""
         return self.coef[_POS[(i, j)]] * (_FACT[i] * _FACT[j])
 
-    def coefficient(self, i, j):
-        return self.coef[_POS[(i, j)]]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -568,6 +565,15 @@ def _d2(e, x):
     q1 = (l1 - q * r1) / r
     q2 = (l2 - 2 * q1 * r1 - q * r2) / r
     return q, q1, q2
+
+
+def variables(e):
+    """Names of the variables the expression reads."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, BinOp):
+        return variables(e.left) | variables(e.right)
+    return variables(e.arg) if isinstance(e, (Neg, Call)) else set()
 
 
 def is_zero_expr(e):

@@ -10,8 +10,9 @@ root is not confirmed, the range is bisected on the node count instead.
 Numerov alone decides the answer.  Grid resolution is doubled (with one
 Richardson step) until two grids agree.
 
-Without numba the sweeps run as Python loops over Python floats; that
-fallback meets the runtime budgets of the acceptance tests.
+The Dirichlet interval is built outward from the well minimum that
+``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or
+``quantize``.  The sweeps are plain Python loops over Python floats.
 """
 
 from __future__ import annotations
@@ -23,22 +24,11 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .exprjet import evaluate
-from .symbols import EnergyWindow, HamiltonianSymbol
+from .symbols import well_minimum
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is normally available
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# The sweeps are plain Python; nothing is compiled.  Kept because the
+# benchmark reports the backend from this flag.
+_HAVE_NUMBA = False
 
 
 class OracleError(Exception):
@@ -55,7 +45,6 @@ class OracleConfig:
     max_grid_doublings: int = 4
 
 
-@njit(cache=True)
 def _shoot(k, i_match):
     """Two-sided Numerov propagation; returns the matching defect.
 
@@ -99,7 +88,6 @@ def _shoot(k, i_match):
     return (yl * yr_next - yl_next * yr) / (norm_l * norm_r)
 
 
-@njit(cache=True)
 def _count_nodes(k):
     """Sign changes of the full left-to-right Numerov sweep.
 
@@ -121,19 +109,13 @@ def _count_nodes(k):
     return nodes
 
 
-def _sweep_arg(k):
-    """Kernel input: the ndarray itself for the compiled kernels; Python
-    floats for the pure-Python fallback, whose loops read a list several
-    times faster than they index an ndarray (same double arithmetic)."""
-    return k if _HAVE_NUMBA else k.tolist()
-
-
 def _domain(sym, h, window, cfg):
     """Dirichlet interval: extend past the E_max turning points until
     V >= E_max + pad, then scale out by halfwidth_factor."""
-    from .orbit import _well_minimum
-
-    x0 = _well_minimum(sym, window.e_max)
+    bottom = well_minimum(sym.potential, window.e_max)
+    if bottom is None:
+        raise OracleError("cannot confine the window: V never exceeds e_max")
+    x0 = bottom[0]
     _, _, v2 = sym.v_derivs(x0)
     pad = 10.0 * h * np.sqrt(max(float(v2), 0.0))
     target = window.e_max + pad
@@ -208,10 +190,10 @@ def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol):
     pref = dx * dx / (12.0 * h * h)
 
     def defect(e):
-        return _shoot(_sweep_arg(pref * (e - v_grid)), i_match)
+        return _shoot((pref * (e - v_grid)).tolist(), i_match)
 
     def nodes(e):
-        return _count_nodes(_sweep_arg(pref * (e - v_grid)))
+        return _count_nodes((pref * (e - v_grid)).tolist())
 
     bracket = _fd_bracket(v_grid, dx, h, e_lo, e_hi, n_target, nodes)
     if bracket is None:
@@ -276,30 +258,19 @@ def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
         raise OracleError("the oracle requires a Schrodinger symbol")
     cfg = cfg or OracleConfig()
     xl, xr = _domain(sym, h, window, cfg)
-
-    def grid(n_pts):
-        xs = np.linspace(xl, xr, n_pts)
-        v = sym.v(xs) + 0.0 * xs
-        return xs, np.asarray(v, dtype=float)
-
-    def count_below(v_grid, dx, e):
-        pref = dx * dx / (12.0 * h * h)
-        return _count_nodes(_sweep_arg(pref * (e - v_grid)))
-
-    n0 = cfg.base_n
-    xs, v0 = grid(n0)
-    dx0 = xs[1] - xs[0]
-    v_floor = float(np.min(v0))
-    e_top = window.e_max
-
-    n_min = count_below(v0, dx0, window.e_min)
-    n_max = count_below(v0, dx0, window.e_max)
+    xs = np.linspace(xl, xr, cfg.base_n)
+    v0 = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    dx = xs[1] - xs[0]
+    pref = dx * dx / (12.0 * h * h)
+    n_min, n_max = (_count_nodes((pref * (e - v0)).tolist())
+                    for e in (window.e_min, window.e_max))
     n_max = min(n_max, n_min + cfg.max_count)
 
     results = []
     counts = []
     for n_nodes in range(n_min, n_max):
-        e = _refined_level(sym, h, xl, xr, v_floor, e_top, n_nodes, cfg)
+        e = _refined_level(sym, h, xl, xr, float(np.min(v0)), window.e_max,
+                           n_nodes, cfg)
         if window.e_min <= e <= window.e_max:
             results.append(e)
             counts.append(n_nodes)

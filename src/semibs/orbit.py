@@ -8,6 +8,8 @@ condition use.  On gamma_E every closed-orbit integral is an integral over
 
 The substitution x = mid - rad cos(theta) removes the square-root end
 singularities, and Gauss-Legendre in theta converges spectrally.
+``turning_points`` solves V = E outward from ``symbols.well_minimum`` and
+is memoised on (V, E): each pair is solved once, however many layers ask.
 
 The ODE route is kept as the independent reference the tests compare the
 quadrature against: ``trace_orbit`` integrates the Hamilton flow with an
@@ -26,8 +28,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import exprjet
-from .exprjet import jet_eval
-from .symbols import HamiltonianSymbol, SymbolError
+from .exprjet import eval_x_derivs2, evaluate, jet_eval
+from .symbols import HamiltonianSymbol, SymbolError, well_minimum
 
 
 class OrbitError(Exception):
@@ -40,52 +42,42 @@ class ConvergenceError(OrbitError):
 
 ENERGY_DRIFT_TOL = 1e-9
 CLOSURE_TOL = 1e-8
+TURNING_POINT_CACHE_SIZE = 4096   # distinct (V, E) pairs remembered
 
 
 def turning_points(sym, e):
-    """Locate (x_left, x_right) with V = e by bracketed root refinement."""
+    """(x_left, x_right) with V = e, by bracketed root refinement outward
+    from the well minimum; memoised on (V, e)."""
     if not sym.schrodinger:
         raise SymbolError("turning_points requires a Schrodinger symbol")
-    x0 = _well_minimum(sym, e)
-    xl = _bracket_root(sym, e, x0, direction=-1)
-    xr = _bracket_root(sym, e, x0, direction=+1)
-    return xl, xr
+    return _turning_points(sym.potential, float(e))
 
 
-def _well_minimum(sym, e):
-    from scipy.optimize import minimize_scalar
-    # coarse scan outward from 0 until V > e on both sides
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if sym.v(lo) > e and sym.v(hi) > e:
-            break
-        if sym.v(lo) <= e:
-            lo *= 2
-        if sym.v(hi) <= e:
-            hi *= 2
-    xs = np.linspace(lo, hi, 2001)
-    vs = sym.v(xs)
-    i0 = int(np.argmin(vs))
-    # bounds, not a bracket: a grid neighbour may tie with the grid minimum,
-    # which a bracket refuses
-    res = minimize_scalar(sym.v, bounds=(xs[max(i0 - 1, 0)],
-                                         xs[min(i0 + 1, len(xs) - 1)]),
-                          method="bounded", options={"xatol": 1e-13})
-    return float(res.x)
+@lru_cache(maxsize=TURNING_POINT_CACHE_SIZE)
+def _turning_points(potential, e):
+    bottom = well_minimum(potential, e)
+    if bottom is None:
+        raise OrbitError(f"V does not rise above E = {e} on both sides")
+    x0, v0 = bottom
+    if not e > v0:
+        raise OrbitError(f"E = {e} is at or below the well bottom "
+                         f"V(x0) = {v0}")
+    return (_bracket_root(potential, e, x0, direction=-1),
+            _bracket_root(potential, e, x0, direction=+1))
 
 
-def _bracket_root(sym, e, x0, direction):
+def _bracket_root(potential, e, x0, direction):
     step = max(0.1, 0.1 * abs(x0))
     a = x0
     for _ in range(200):
         b = a + direction * step
-        if sym.v(b) > e:
+        if evaluate(potential, b) > e:
             lo, hi = (b, a) if direction < 0 else (a, b)
-            x = brentq(lambda t: sym.v(t) - e, lo, hi,
+            x = brentq(lambda t: evaluate(potential, t) - e, lo, hi,
                        xtol=1e-15, rtol=8.9e-16)
             # Newton polish using V' for |V - E| <= 1e-12 absolute
             for _ in range(3):
-                v, v1, _ = sym.v_derivs(x)
+                v, v1, _ = eval_x_derivs2(potential, x)
                 if v1 == 0:
                     break
                 x -= (v - e) / v1
@@ -116,13 +108,6 @@ class Orbit:
         x, xi = self.at(t)
         return t, x, xi
 
-    def xi_plus(self, x):
-        v = self.symbol.v(x)
-        return np.sqrt(np.maximum(self.e - v, 0.0))
-
-    def xi_minus(self, x):
-        return -self.xi_plus(x)
-
 
 def _period_estimate(sym, e, xl, xr, n=96):
     """Time of flight 2 * int dx / (2 xi+) via Gauss-Chebyshev quadrature."""
@@ -138,8 +123,6 @@ def _period_estimate(sym, e, xl, xr, n=96):
 
 def trace_orbit(sym, e, rtol=1e-12, atol=1e-14):
     """Trace one period of the Hamilton flow starting at (x_right, 0)."""
-    if not sym.schrodinger:
-        raise SymbolError("trace_orbit requires a Schrodinger symbol")
     xl, xr = turning_points(sym, e)
     t_est = _period_estimate(sym, e, xl, xr)
 
@@ -238,8 +221,6 @@ def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
     integral agree to rel_tol; ConvergenceError after QUAD_REFINEMENTS
     doublings.
     """
-    if not sym.schrodinger:
-        raise SymbolError("orbit_quadrature requires a Schrodinger symbol")
     xl, xr = turning_points(sym, e)
     mid, rad = 0.5 * (xl + xr), 0.5 * (xr - xl)
 
@@ -267,8 +248,8 @@ def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
 
 class FocalFrame:
     """Local data of the Lagrangian curve near a focal point, as functions
-    of xi along the branch: x(xi), alpha = d_x p0, psi'' = d_xi p0 / alpha,
-    and alpha' = d alpha / d xi along the curve."""
+    of xi along the branch: x(xi), alpha = d_x p0 and
+    psi'' = d_xi p0 / alpha."""
 
     def __init__(self, sym, e, side="right"):
         if side not in ("right", "left"):
@@ -281,26 +262,15 @@ class FocalFrame:
         self.xi_focal = 0.0
 
     def x_of_xi(self, xi):
-        """Solve p0(x, xi) = E for x on the branch through the focal point."""
-        sym, e = self.symbol, self.e
+        """Solve V(x) = E - xi^2 by Newton's method on the branch through
+        the focal point."""
         x = self.x_focal
-        target = e - xi * xi  # V(x) = E - xi^2 in the Schrodinger case
-        if sym.schrodinger:
-            for _ in range(60):
-                v, v1, _ = sym.v_derivs(x)
-                if v1 == 0:
-                    raise OrbitError("V' vanished during focal-frame solve")
-                dx = (v - target) / v1
-                x -= dx
-                if abs(dx) < 1e-14 * (1.0 + abs(x)):
-                    return float(x)
-            raise ConvergenceError("focal-frame Newton solve did not converge")
+        target = self.e - xi * xi
         for _ in range(60):
-            j = jet_eval(sym.p0, (x, xi))
-            px = j.derivative(1, 0)
-            if px == 0:
-                raise OrbitError("d_x p0 vanished during focal-frame solve")
-            dx = (j.value - e) / px
+            v, v1, _ = self.symbol.v_derivs(x)
+            if v1 == 0:
+                raise OrbitError("V' vanished during focal-frame solve")
+            dx = (v - target) / v1
             x -= dx
             if abs(dx) < 1e-14 * (1.0 + abs(x)):
                 return float(x)
@@ -315,10 +285,3 @@ class FocalFrame:
     def psi_dd(self, xi):
         j = self.jet(xi)
         return j.derivative(0, 1) / j.derivative(1, 0)
-
-    def alpha_prime(self, xi):
-        # along the branch x'(xi) = -psi'', so d alpha/d xi =
-        # -d2x p0 * psi'' + dx dxi p0
-        j = self.jet(xi)
-        psi2 = j.derivative(0, 1) / j.derivative(1, 0)
-        return -j.derivative(2, 0) * psi2 + j.derivative(1, 1)

@@ -134,14 +134,14 @@ def _solve_s0(ev, es, vals, target, root_tol):
     return brentq(f, lo, hi, xtol=root_tol, rtol=4 * np.finfo(float).eps)
 
 
-def _solve_level(ev, es, vals, target, root_tol):
-    """Solve S_eff(E) = target by fixed-point iteration on the correction.
+def _solve_level(ev, e, es, vals, target, root_tol):
+    """Solve S_eff(E) = target by fixed-point iteration on the correction,
+    starting from the order-0 root e of S0(E) = target.
 
     The iteration contracts by O(h^2) per step; it is accepted either at
     root_tol or when the step size stops shrinking, which marks the noise
     floor of the finite-difference S2 evaluation.
     """
-    e = _solve_s0(ev, es, vals, target, root_tol)
     if ev.order == 0:
         return e
     prev_step = math.inf
@@ -207,10 +207,13 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
     table = SpectrumTable(h=h)
     for k in range(k_min, k_max + 1):
         target = two_pi_h * (k + 0.5)
-        levels = []
+        levels, e0 = [], None
         for ev in evaluators:
             try:
-                levels.append(_solve_level(ev, es, vals, target, root_tol))
+                if e0 is None:  # S0 is the same for every order
+                    e0 = _solve_s0(ev, es, vals, target, root_tol)
+                levels.append(_solve_level(ev, e0, es, vals, target,
+                                           root_tol))
             except QuantizeError:
                 roots = _dense_scan_roots(ev, window.e_min, window.e_max,
                                           target, root_tol)
@@ -226,9 +229,14 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
     return table
 
 
-def attach_oracle(table, oracle_energies):
-    """Pair oracle eigenvalues with table rows (in order) and fill errors."""
-    for row, e_ref in zip(table.rows, oracle_energies):
+def attach_oracle(table, oracle_levels):
+    """Fill the oracle columns from ``oracle_levels`` (node count ->
+    eigenvalue): row n pairs with the level of n nodes, and a row with no
+    such level stays blank."""
+    for row in table.rows:
+        e_ref = oracle_levels.get(row.n)
+        if e_ref is None:
+            continue
         row.e_oracle = e_ref
         row.err0 = abs(row.e_order0 - e_ref)
         row.err2 = abs(row.e_order2 - e_ref)

@@ -4,16 +4,20 @@ A symbol is the triple (p0, p1, p2) of expressions in (x, xi).  The
 Schrodinger specialization p0 = xi^2 + V(x) carries the potential
 separately so that turning-point and oracle machinery can work on V
 directly.
+
+The one search for the bottom of a well is ``well_minimum``: the scan
+domain of ``_scan_domain``, a 2001-point grid and a bounded Brent step,
+memoised on (V, domain) so that every layer shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import exprjet
 from .exprjet import Expr, parse, evaluate, eval_x_derivs2
 
 
@@ -120,14 +124,13 @@ class WellReport:
 SIMPLE_TP_TOL = 1e-8
 
 
-def _scan_domain(sym, e_max, max_doublings=60):
-    """Expand [-1, 1] until V exceeds e_max (+ margin) on both sides, or give
-    up for potentials with a finite asymptote below the window."""
+def _scan_domain(potential, e_max, max_doublings=60):
+    """Expand [-1, 1] until V exceeds e_max on both sides, or give up (None)
+    for potentials with a finite asymptote below the window."""
     lo, hi = -1.0, 1.0
-    target = e_max
     for _ in range(max_doublings):
-        ok_lo = sym.v(lo) > target
-        ok_hi = sym.v(hi) > target
+        ok_lo = evaluate(potential, lo) > e_max
+        ok_hi = evaluate(potential, hi) > e_max
         if ok_lo and ok_hi:
             return lo, hi
         if not ok_lo:
@@ -137,6 +140,32 @@ def _scan_domain(sym, e_max, max_doublings=60):
         if abs(lo) > 1e12 or hi > 1e12:
             break
     return None
+
+
+MINIMUM_CACHE_SIZE = 64   # distinct (V, scan domain) pairs remembered
+
+
+@lru_cache(maxsize=MINIMUM_CACHE_SIZE)
+def _grid_minimum(potential, lo, hi):
+    """(x0, V(x0)): the minimum of V on a 2001-point grid of [lo, hi],
+    refined by a bounded Brent step between the grid minimum's neighbours.
+    Pure in (V, lo, hi), so a cache hit returns what recomputing would."""
+    xs = np.linspace(lo, hi, 2001)
+    i0 = int(np.argmin(evaluate(potential, xs)))
+    # bounds, not a bracket: a grid neighbour may tie with the grid minimum,
+    # which a bracket refuses
+    res = minimize_scalar(lambda x: evaluate(potential, x),
+                          bounds=(xs[max(i0 - 1, 0)],
+                                  xs[min(i0 + 1, len(xs) - 1)]),
+                          method="bounded", options={"xatol": 1e-13})
+    return float(res.x), float(res.fun)
+
+
+def well_minimum(potential, e):
+    """(x0, V(x0)) for the potential expression V, searched on the scan
+    domain of energy e; None when V does not rise above e on both sides."""
+    dom = _scan_domain(potential, e)
+    return None if dom is None else _grid_minimum(potential, *dom)
 
 
 def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
@@ -150,14 +179,13 @@ def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
         raise SymbolError("validate_well requires a Schrodinger symbol")
     report = WellReport(ok=True)
 
-    dom = _scan_domain(sym, window.e_max)
+    dom = _scan_domain(sym.potential, window.e_max)
     if dom is None:
         report.ok = False
         report.failures.append(
             "e_max above the potential barrier (V never exceeds the window)")
         return report
-    lo, hi = dom
-    report.scan_domain = (lo, hi)
+    lo, hi = report.scan_domain = dom
     xs = np.linspace(lo, hi, n_grid)
     vs = sym.v(xs)
 
@@ -166,12 +194,7 @@ def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
         report.ok = False
         report.failures.append("potential minimum not interior to scan domain")
         return report
-    # bounds, not a bracket: a grid neighbour may tie with the grid minimum,
-    # which a bracket refuses
-    res = minimize_scalar(sym.v, bounds=(xs[i0 - 1], xs[i0 + 1]),
-                          method="bounded", options={"xatol": 1e-13})
-    report.x0 = float(res.x)
-    report.v_min = float(res.fun)
+    report.x0, report.v_min = _grid_minimum(sym.potential, lo, hi)
     if not report.v_min < window.e_min:
         report.ok = False
         report.failures.append(

@@ -55,6 +55,12 @@ def test_ac2_vanishing_correction(harmonic):
     _verdict("AC-2", ok, t0, 5.0)
 
 
+def _oracle_levels(sym, h, window):
+    """Node count -> oracle eigenvalue, the pairing attach_oracle takes."""
+    energies, counts = oracle_spectrum(sym, h, window, return_counts=True)
+    return dict(zip(counts, energies))
+
+
 def test_ac3_order_improvement(quartic, window):
     """Quartic well: order-2 errors are strictly smaller and decay faster
     under h-refinement; this run also pins down the sign of the h^2 term."""
@@ -63,7 +69,7 @@ def test_ac3_order_improvement(quartic, window):
     errs0, errs1, errs2 = [], [], []
     for h in hs:
         table = bs_solve(quartic, h, window, order=2)
-        attach_oracle(table, oracle_spectrum(quartic, h, window))
+        attach_oracle(table, _oracle_levels(quartic, h, window))
         errs0.append((h, max(r.err0 for r in table.rows)))
         errs1.append((h, max(abs(r.e_order1 - r.e_oracle)
                              for r in table.rows)))
@@ -78,7 +84,7 @@ def test_ac3_order_improvement(quartic, window):
     # calibration: the recorded sign must beat the flipped one
     h_cal = 0.05
     flipped = bs_solve(quartic, h_cal, window, order=2, s2_sign=-S2_SIGN)
-    attach_oracle(flipped, oracle_spectrum(quartic, h_cal, window))
+    attach_oracle(flipped, _oracle_levels(quartic, h_cal, window))
     err_flipped = max(r.err2 for r in flipped.rows)
     err_recorded = dict(errs2)[h_cal]
     ok = ok and err_recorded < err_flipped

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from semibs import orbit
 from semibs.cli import (EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION,
                         ConfigError, RunConfig, main, parse_config)
 
@@ -147,7 +148,83 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
     # turning zones overlap: h too large for the WKB grid
     assert main(["wronskian-check", "--config",
                  _write(tmp_path, BASE_CONFIG)]) == EXIT_NONCONVERGENCE
+    # an S2 stencil energy below the bottom of the well
+    below = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.01") \
+                       .replace("energy_min = 0.05", "energy_min = 0.005") \
+                       .replace("energy_max = 1.1", "energy_max = 0.06") \
+                       .replace("order = 0", "order = 2\neta = 0.008")
+    assert main(["spectrum", "--config",
+                 _write(tmp_path, below)]) == EXIT_NONCONVERGENCE
     capsys.readouterr()
+
+
+def _spectrum_rows(tmp_path, capsys, text):
+    assert main(["spectrum", "--config", _write(tmp_path, text)]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_oracle_columns_pair_by_node_count(tmp_path, capsys):
+    # the level E = 0.05 sits on the window edge: bs_solve keeps it and the
+    # oracle may drop it, which must not shift the other rows
+    text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.05") \
+                      .replace("energy_max = 1.1", "energy_max = 0.5")
+    rows = _spectrum_rows(tmp_path, capsys, text)
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
+    paired = [r for r in rows if r[4]]
+    assert len(paired) >= 4
+    for r in paired:
+        assert float(r[4]) == pytest.approx(0.05 * (2 * int(r[0]) + 1),
+                                            abs=1e-9)
+        assert float(r[5]) < 1e-9
+
+
+def test_oracle_columns_use_the_effective_well(tmp_path, capsys):
+    # -h^2 d^2/dx^2 + x^2 + h x = ... + (x + h/2)^2 - h^2/4
+    h = 0.1
+    text = BASE_CONFIG.replace('potential = "x^2"',
+                               'potential = "x^2"\np1 = "x"') \
+                      .replace("hbar = 0.2", f"hbar = {h}") \
+                      .replace("energy_max = 1.1", "energy_max = 1.0") \
+                      .replace("order = 0", "order = 2")
+    rows = _spectrum_rows(tmp_path, capsys, text)
+    assert len(rows) == 5
+    for r in rows:
+        exact = h * (2 * int(r[0]) + 1) - h * h / 4
+        assert float(r[4]) == pytest.approx(exact, abs=1e-9)
+        assert float(r[5]) == pytest.approx(h * h / 4, abs=1e-9)
+        assert float(r[6]) < 1e-9
+
+
+def test_oracle_columns_blank_without_an_oracle(tmp_path, capsys):
+    # p1 reads xi, or V + h^2 p2 = (x^2 - 1)^2 is a double well
+    for extra in ('p1 = "0.1*xi"', 'p2 = "100*x^4 - 300*x^2 + 100"'):
+        text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.1") \
+                          .replace('potential = "x^2"',
+                                   f'potential = "x^2"\n{extra}')
+        rows = _spectrum_rows(tmp_path, capsys, text)
+        assert rows
+        assert all(r[4:] == ["", "", ""] for r in rows)
+
+
+def test_wronskian_check_solves_each_turning_point_once(tmp_path, capsys,
+                                                         monkeypatch):
+    orbit._turning_points.cache_clear()
+    solves = []
+    bracket_root = orbit._bracket_root
+
+    def counted(potential, e, x0, direction):
+        solves.append((potential, e, direction))
+        return bracket_root(potential, e, x0, direction)
+
+    monkeypatch.setattr(orbit, "_bracket_root", counted)
+    text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.05")
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_OK
+    capsys.readouterr()
+    energies = {e for _, e, _ in solves}
+    assert energies
+    assert len(solves) == len(set(solves)) == 2 * len(energies)
 
 
 def test_config_round_trip():

@@ -1,8 +1,12 @@
 """Independent Numerov eigenvalue oracle."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+from semibs import orbit
 from semibs.exprjet import parse
 from semibs.oracle import (OracleConfig, OracleError, _solve_on_grid,
                            eigenfunction, oracle_spectrum)
@@ -81,3 +85,22 @@ def test_oracle_requires_schrodinger_symbol(window):
                             p2=parse("0"))
     with pytest.raises(OracleError):
         oracle_spectrum(sym, 0.1, window)
+
+
+def test_oracle_uses_nothing_from_orbit(monkeypatch, harmonic, window):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called into orbit")
+
+    # every function orbit defines, public or not
+    names = [name for name, f in vars(orbit).items()
+             if inspect.isfunction(f) and f.__module__ == orbit.__name__]
+    assert "turning_points" in names
+    for name in names:
+        original = getattr(orbit, name)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "semibs" and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    energies = oracle_spectrum(harmonic, 0.1, window)
+    assert energies == pytest.approx([0.1 * (2 * n + 1) for n in range(5)],
+                                     abs=1e-8)

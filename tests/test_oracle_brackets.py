@@ -6,7 +6,7 @@ import pytest
 
 from semibs import oracle
 from semibs.oracle import (OracleConfig, OracleError, _count_nodes,
-                           _domain, _fd_bracket, _solve_on_grid, _sweep_arg)
+                           _domain, _fd_bracket, _solve_on_grid)
 from semibs.symbols import builtin
 
 
@@ -20,7 +20,7 @@ def _base_grid(sym, h, window):
 
 def _node_counter(v, dx, h):
     pref = dx * dx / (12.0 * h * h)
-    return lambda e: _count_nodes(_sweep_arg(pref * (e - v)))
+    return lambda e: _count_nodes((pref * (e - v)).tolist())
 
 
 def _bisected_level(nodes, n_target, e_lo, e_hi):

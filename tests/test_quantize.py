@@ -69,8 +69,8 @@ def test_quantize_path_traces_no_orbit(monkeypatch, window):
 def test_order_monotonicity_quartic(quartic, window):
     h = 0.1
     table = bs_solve(quartic, h, window, order=2)
-    ref = oracle_spectrum(quartic, h, window)
-    attach_oracle(table, ref)
+    ref, counts = oracle_spectrum(quartic, h, window, return_counts=True)
+    attach_oracle(table, dict(zip(counts, ref)))
     err0 = max(r.err0 for r in table.rows)
     err2 = max(r.err2 for r in table.rows)
     assert err2 <= err0
@@ -78,10 +78,19 @@ def test_order_monotonicity_quartic(quartic, window):
 
 def test_attach_oracle_fills_errors(harmonic, window):
     table = bs_solve(harmonic, 0.2, window, order=0)
-    attach_oracle(table, [0.2, 0.6, 1.0])
+    attach_oracle(table, {0: 0.2, 1: 0.6, 2: 1.0})
     for r in table.rows:
         assert r.e_oracle is not None
         assert r.err0 == abs(r.e_order0 - r.e_oracle)
+
+
+def test_attach_oracle_pairs_by_node_count(harmonic, window):
+    # an oracle that dropped level 0 leaves row 0 blank and shifts no row
+    table = bs_solve(harmonic, 0.2, window, order=0)
+    attach_oracle(table, {1: 0.6, 2: 1.0})
+    assert [r.e_oracle for r in table.rows] == [None, 0.6, 1.0]
+    assert table.rows[0].err0 is None
+    assert table.rows[1].err0 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bs_solve_argument_validation(harmonic, window):

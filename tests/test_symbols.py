@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semibs import oracle, orbit, symbols
 from semibs.symbols import (EnergyWindow, SymbolError, builtin,
                             from_potential, validate_well)
 
@@ -100,3 +101,19 @@ def test_well_minimum_location(window):
     report = validate_well(sym, window)
     assert report.x0 == pytest.approx(0.0, abs=1e-9)
     assert report.v_min == pytest.approx(0.0, abs=1e-12)
+
+
+def test_one_minimum_search_per_well():
+    # validate_well, turning_points and the oracle's domain share the
+    # memoised search on the same scan domain
+    symbols._grid_minimum.cache_clear()
+    orbit._turning_points.cache_clear()
+    sym = from_potential("x^2 + 0.3*x^4 - 0.1*x")
+    window = EnergyWindow(0.1, 0.9)
+    report = validate_well(sym, window)
+    assert orbit.turning_points(sym, window.e_max)[0] < report.x0
+    oracle._domain(sym, 0.1, window, oracle.OracleConfig())
+    info = symbols._grid_minimum.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert symbols.well_minimum(sym.potential, window.e_max) == \
+        (report.x0, report.v_min)
