@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -289,31 +288,28 @@ def cmd_wronskian_check(cfg, out):
     ppo = max(cfg.grid_points_per_oscillation, 63)
     xs = wronlab.default_grid(sym, e, h, points_per_oscillation=ppo)
 
-    def cutoff(basepoint):
-        if cfg.cutoff_r1 is not None and cfg.cutoff_r2 is not None:
-            from .orbit import turning_points
-            xl, xr = turning_points(sym, e)
-            center = xr if basepoint == "a" else xl
-            return wronlab.CutoffSpec(center=center, r1=cfg.cutoff_r1,
-                                      r2=cfg.cutoff_r2)
-        return wronlab.default_cutoff(sym, e, h, basepoint)
-
+    if cfg.cutoff_r1 is not None and cfg.cutoff_r2 is not None:
+        from .orbit import turning_points
+        xl, xr = turning_points(sym, e)
+        chi_a = wronlab.CutoffSpec(center=xr, r1=cfg.cutoff_r1,
+                                   r2=cfg.cutoff_r2)
+        chi_ap = wronlab.CutoffSpec(center=xl, r1=cfg.cutoff_r1,
+                                    r2=cfg.cutoff_r2)
+    else:
+        chi_a = wronlab.default_cutoff(sym, e, h, "a")
+        chi_ap = wronlab.default_cutoff(sym, e, h, "a'")
     # the grid must resolve the cutoff transitions as well as the phase
-    width = min(c.r2 - c.r1 for c in (cutoff("a"), cutoff("a'")))
-    dx_needed = width / 64.0
-    if xs[1] - xs[0] > dx_needed:
-        n = int(math.ceil((xs[-1] - xs[0]) / dx_needed)) + 1
-        xs = np.linspace(xs[0], xs[-1], n)
+    xs = wronlab._resolve_transitions(xs, [chi_a, chi_ap])
 
     checks = []
-    rep_a = wronlab.flux_norm_check(sym, e, h, "a", chi=cutoff("a"), xs=xs)
+    rep_a = wronlab.flux_norm_check(sym, e, h, "a", chi=chi_a, xs=xs)
     checks.append(("flux_norm_a", rep_a.residual, 0.1))
-    rep_ap = wronlab.flux_norm_check(sym, e, h, "a'", chi=cutoff("a'"), xs=xs)
+    rep_ap = wronlab.flux_norm_check(sym, e, h, "a'", chi=chi_ap, xs=xs)
     checks.append(("flux_norm_a_prime", rep_ap.residual, 0.1))
     checks.append(("mixed_term", abs(rep_a.mixed_pm),
                    1e-4 * max(rep_a.norm_sq, 1.0)))
     chi_rep = wronlab.chi_independence_check(sym, e, h, "a",
-                                             chi_1=cutoff("a"), xs=xs)
+                                             chi_1=chi_a, xs=xs)
     checks.append(("chi_independence", chi_rep.difference, chi_rep.bound))
     checks.append(("sum_identity", abs(chi_rep.sum_identity),
                    1e-4 * max(chi_rep.norm_sq, 1.0)))

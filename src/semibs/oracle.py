@@ -262,21 +262,39 @@ def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
     v0 = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
     dx = xs[1] - xs[0]
     pref = dx * dx / (12.0 * h * h)
+    v_floor = float(np.min(v0))
+    # A level that the base grid puts within its own error of a window edge
+    # may refine to the other side of that edge: count the levels within
+    # that error of the window, and let the finer grids look for them up to
+    # twice the error above it.
+    err_lo = _base_grid_error(window.e_min - v_floor, dx, h)
+    err_hi = _base_grid_error(window.e_max - v_floor, dx, h)
     n_min, n_max = (_count_nodes((pref * (e - v0)).tolist())
-                    for e in (window.e_min, window.e_max))
+                    for e in (window.e_min - err_lo, window.e_max + err_hi))
     n_max = min(n_max, n_min + cfg.max_count)
 
     results = []
     counts = []
     for n_nodes in range(n_min, n_max):
-        e = _refined_level(sym, h, xl, xr, float(np.min(v0)), window.e_max,
-                           n_nodes, cfg)
+        e = _refined_level(sym, h, xl, xr, v_floor,
+                           window.e_max + 2.0 * err_hi, n_nodes, cfg)
         if window.e_min <= e <= window.e_max:
             results.append(e)
             counts.append(n_nodes)
     if return_counts:
         return results, counts
     return results
+
+
+def _base_grid_error(de, dx, h):
+    """Bound on a base-grid Numerov level's error at de = E - min V.
+
+    The error goes as (k dx)^4 de with k^2 = de / h^2; its constant is at
+    most 1/128 on the built-in wells (measured against the refined level),
+    and the bound takes 1/24."""
+    de = max(de, 0.0)
+    q = dx * dx * de / (h * h)
+    return q * q * de / 24.0
 
 
 def _refined_level(sym, h, xl, xr, e_lo, e_hi, n_nodes, cfg):

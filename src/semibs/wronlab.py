@@ -4,19 +4,26 @@ Builds the oscillatory branch solutions away from the turning points,
 applies (i/h)[P, chi] with smooth compactly-supported cutoffs, and checks
 the flux normalization, cutoff independence, and the 2x2 Gram matrix of
 the two turning-point solutions against the closed form -cos^2(S/h).
+
+Every branch phase, and the half action S(a', a) of the Gram check, comes
+from one phase record per (V, E, h, grid), memoised: the grid check, V on
+the grid, the GL5 cumulative integral of xi_+ = sqrt(E - V) along the grid,
+and the two short offsets from the turning points to the grid ends
+(quad after y = x_tp + s u^2).  So one wronskian-check request integrates
+xi_+ once along its grid and twice near the turning points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .exprjet import evaluate, is_zero_expr
 from .orbit import turning_points
-from .symbols import HamiltonianSymbol, SymbolError
 
 
 class WronlabError(Exception):
@@ -237,17 +244,19 @@ def default_grid(sym, e, h, points_per_oscillation=63):
     return np.linspace(a, b, n)
 
 
-def _check_grid(sym, e, h, xs):
+def _check_grid(sym, e, h, xs, v):
+    """Raise GridError unless xs avoids the turning zones and samples the
+    oscillation finely enough; v is V on xs.  Returns (x_l, x_r)."""
     xl, xr = turning_points(sym, e)
     dl, dr = airy_exclusion(sym, e, h)
     if xs[0] < xl + dl - 1e-12 or xs[-1] > xr - dr + 1e-12:
         raise GridError("grid enters the turning-zone exclusion region")
     dx = xs[1] - xs[0]
-    xi_max = math.sqrt(max(e - float(np.min(sym.v(xs))), 0.0))
+    xi_max = math.sqrt(max(e - float(np.min(v)), 0.0))
     if dx > h / (10.0 * xi_max) * (1.0 + 1e-12):
         raise GridError(f"dx = {dx:.3e} exceeds the sampling bound "
                         f"{h / (10.0 * xi_max):.3e}")
-    return xl, xr, dx
+    return xl, xr
 
 
 def _cumulative_integral(f, xs):
@@ -273,6 +282,64 @@ def _offset_from_turning_point(g, base, x0):
     return val
 
 
+PHASE_CACHE_SIZE = 4   # (symbol, E, h, grid) phase records remembered
+
+
+@dataclass(frozen=True)
+class _Phase:
+    """The principal phase of one (V, E, h, grid), with xi_+ = sqrt(E - V).
+
+    ``s_cum[i]`` is int_{xs[0]}^{xs[i]} xi_+ dy; ``left`` and ``right`` are
+    the short pieces int_{x_l}^{xs[0]} xi_+ dy and int_{xs[-1]}^{x_r}
+    xi_+ dy between the grid ends and the turning points.
+    """
+
+    xl: float
+    xr: float
+    v: np.ndarray
+    s_cum: np.ndarray
+    left: float
+    right: float
+
+    def s0(self, basepoint):
+        """int_base^x xi_+ dy on the grid, from x_r ('a') or x_l ("a'")."""
+        if basepoint == "a":
+            return self.s_cum - self.s_cum[-1] - self.right
+        return self.left + self.s_cum
+
+    @property
+    def s_half(self):
+        """S(a', a) = int_{x_l}^{x_r} xi_+ dy."""
+        return self.left + float(self.s_cum[-1]) + self.right
+
+
+def _phase(sym, e, h, xs):
+    """The phase record of (V, E, h, xs), checking the grid on first use.
+
+    Memoised on the symbol, E, h and the grid's bytes, so the branches and
+    checks of one request share one record; a hit returns what rebuilding
+    would, and the record's arrays are read-only.
+    """
+    return _phase_record(sym, float(e), float(h), xs.tobytes())
+
+
+@lru_cache(maxsize=PHASE_CACHE_SIZE)
+def _phase_record(sym, e, h, grid):
+    xs = np.frombuffer(grid, dtype=float)
+    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    xl, xr = _check_grid(sym, e, h, xs, v)
+
+    def xi_of(y):
+        return np.sqrt(np.maximum(e - sym.v(y), 0.0))
+
+    s_cum = _cumulative_integral(xi_of, xs)
+    v.flags.writeable = s_cum.flags.writeable = False
+    return _Phase(xl=xl, xr=xr, v=v, s_cum=s_cum,
+                  left=_offset_from_turning_point(xi_of, xl, float(xs[0])),
+                  right=-_offset_from_turning_point(xi_of, xr,
+                                                    float(xs[-1])))
+
+
 def build_wkb(sym, e, h, basepoint="a", rho=+1, order=0, xs=None):
     """One oscillatory branch of the two-sided solution near a turning point.
 
@@ -280,9 +347,12 @@ def build_wkb(sym, e, h, basepoint="a", rho=+1, order=0, xs=None):
     phase S_rho is measured from the turning point named by ``basepoint``
     ('a' = right, "a'" = left) and c_rho carries the e^{+-i pi/4} factors.
     At order >= 1 the phase includes -h * int p1 / (2 xi_rho).
+
+    The principal phase comes from the memoised phase record of
+    (V, E, h, xs): one GL5 cumulative integral of xi_+ along the grid plus
+    the short offsets from the turning points to the grid ends, so both
+    branches at both basepoints share one integral.
     """
-    if not sym.schrodinger:
-        raise SymbolError("build_wkb requires a Schrodinger symbol")
     if basepoint not in ("a", "a'"):
         raise WronlabError("basepoint must be 'a' or \"a'\"")
     if rho not in (+1, -1):
@@ -290,21 +360,12 @@ def build_wkb(sym, e, h, basepoint="a", rho=+1, order=0, xs=None):
     if xs is None:
         xs = default_grid(sym, e, h)
     xs = np.asarray(xs, dtype=float)
-    xl, xr, dx = _check_grid(sym, e, h, xs)
-    base = xr if basepoint == "a" else xl
+    ph = _phase(sym, e, h, xs)
 
-    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
-    xi_plus = np.sqrt(np.maximum(e - v, 0.0))
-
-    def xi_of(y):
-        return np.sqrt(np.maximum(e - sym.v(y), 0.0))
-
-    # principal phase: int_base^x xi_+ dy (sqrt-singular at the endpoint)
-    s_cum = _cumulative_integral(xi_of, xs)
-    s0 = _offset_from_turning_point(xi_of, base, float(xs[0])) + s_cum
-
-    phase = rho * s0
+    phase = rho * ph.s0(basepoint)
     if order >= 1 and not is_zero_expr(sym.p1):
+        base = ph.xr if basepoint == "a" else ph.xl
+
         def q(y):
             y = np.atleast_1d(np.asarray(y, dtype=float))
             xi = rho * np.sqrt(np.maximum(e - sym.v(y), 1e-300))
@@ -317,7 +378,7 @@ def build_wkb(sym, e, h, basepoint="a", rho=+1, order=0, xs=None):
 
     sigma = 1.0 if basepoint == "a" else -1.0
     pref = np.exp(1j * rho * sigma * math.pi / 4.0)
-    amp = 0.5 * np.power(np.maximum(e - v, 1e-300), -0.25)
+    amp = 0.5 * np.power(np.maximum(e - ph.v, 1e-300), -0.25)
     values = pref * amp * np.exp(1j * phase / h)
     return GridFunction(x0=float(xs[0]), dx=float(xs[1] - xs[0]),
                         values=values)
@@ -608,14 +669,10 @@ def gram_numeric(sym, e, h, order=0, xs=None):
                   [u1.inner(fap), u2.inner(fap)]])
     det = complex(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
-    xl, xr = turning_points(sym, e)
-    mid = 0.5 * (xl + xr)
-    xi_of = lambda y: math.sqrt(max(e - float(sym.v(y)), 0.0))
-    s_half = (_offset_from_turning_point(xi_of, xl, mid)
-              - _offset_from_turning_point(xi_of, xr, mid))
+    s_half = _phase(sym, e, h, xs).s_half
     return GramReport(matrix=g, det=det,
                       analytic_det=-math.cos(s_half / h) ** 2,
-                      s_half=float(s_half),
+                      s_half=s_half,
                       off_diag_expected=-math.sin(s_half / h))
 
 

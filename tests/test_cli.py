@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from semibs import orbit
+from semibs import orbit, wronlab
 from semibs.cli import (EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION,
                         ConfigError, RunConfig, main, parse_config)
 
@@ -165,15 +165,15 @@ def _spectrum_rows(tmp_path, capsys, text):
 
 
 def test_oracle_columns_pair_by_node_count(tmp_path, capsys):
-    # the level E = 0.05 sits on the window edge: bs_solve keeps it and the
-    # oracle may drop it, which must not shift the other rows
+    # the level E = 0.05 sits on the window edge: bs_solve keeps it, and
+    # the oracle's base grid puts it just below the edge while its refined
+    # value lies inside, so every row pairs with the level of its own index
     text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.05") \
                       .replace("energy_max = 1.1", "energy_max = 0.5")
     rows = _spectrum_rows(tmp_path, capsys, text)
     assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
-    paired = [r for r in rows if r[4]]
-    assert len(paired) >= 4
-    for r in paired:
+    assert all(r[4] for r in rows)
+    for r in rows:
         assert float(r[4]) == pytest.approx(0.05 * (2 * int(r[0]) + 1),
                                             abs=1e-9)
         assert float(r[5]) < 1e-9
@@ -225,6 +225,26 @@ def test_wronskian_check_solves_each_turning_point_once(tmp_path, capsys,
     energies = {e for _, e, _ in solves}
     assert energies
     assert len(solves) == len(set(solves)) == 2 * len(energies)
+
+
+def test_wronskian_check_integrates_the_phase_once(tmp_path, capsys,
+                                                  monkeypatch):
+    wronlab._phase_record.cache_clear()
+    calls = {"_offset_from_turning_point": 0, "_cumulative_integral": 0}
+    for name in calls:
+        original = getattr(wronlab, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(wronlab, name, counted)
+    text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.05")
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"_offset_from_turning_point": 2,
+                     "_cumulative_integral": 1}
 
 
 def test_config_round_trip():

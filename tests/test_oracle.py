@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from semibs import orbit
+from semibs import oracle, orbit
 from semibs.exprjet import parse
 from semibs.oracle import (OracleConfig, OracleError, _solve_on_grid,
                            eigenfunction, oracle_spectrum)
@@ -104,3 +104,19 @@ def test_oracle_uses_nothing_from_orbit(monkeypatch, harmonic, window):
     energies = oracle_spectrum(harmonic, 0.1, window)
     assert energies == pytest.approx([0.1 * (2 * n + 1) for n in range(5)],
                                      abs=1e-8)
+
+
+def test_no_extra_level_solve_away_from_the_window_edges(monkeypatch,
+                                                         harmonic):
+    solved = []
+    refined_level = oracle._refined_level
+
+    def counted(*args):
+        solved.append(args[6])
+        return refined_level(*args)
+
+    monkeypatch.setattr(oracle, "_refined_level", counted)
+    # edges half-way between the levels 0.15, 0.25, 0.35, 0.45
+    energies = oracle_spectrum(harmonic, 0.05, EnergyWindow(0.1, 0.5))
+    assert energies == pytest.approx([0.15, 0.25, 0.35, 0.45], abs=1e-9)
+    assert solved == [1, 2, 3, 4]

@@ -13,7 +13,9 @@ from semibs.wronlab import (CutoffSpec, GridError, GridFunction, WronlabError,
                             commutator_wronskian_identity, default_cutoff,
                             default_grid, dump_csv, flux_norm_check,
                             gram_numeric)
-from semibs.symbols import builtin, from_potential
+from semibs.orbit import orbit_quadrature, turning_points
+from semibs.symbols import (HamiltonianSymbol, SymbolError, builtin,
+                            from_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,60 @@ def test_wkb_phase_matches_closed_form(harmonic):
         0.5 * (e - x * x) ** -0.25
         * np.exp(1j * (s_exact(x) / h + math.pi / 4.0)) for x in xs])
     assert np.max(np.abs(u.values - expected)) <= 1e-9
+
+
+PHASE_WELLS = [
+    ("harmonic", builtin("harmonic"), 0.5, 0.05),
+    ("quartic", builtin("quartic"), 0.5, 0.05),
+    ("anharmonic", from_potential("x^2 + 0.3*x^4"), 0.6, 0.04),
+    ("morse", builtin("morse", {"D": 1.0, "a": 1.0}), 0.5, 0.05),
+]
+
+
+@pytest.mark.parametrize("sym,e,h", [w[1:] for w in PHASE_WELLS],
+                         ids=[w[0] for w in PHASE_WELLS])
+def test_wkb_phase_matches_whole_well_quadrature(sym, e, h):
+    """Both basepoints against a phase integrated by quad from the turning
+    point itself, across the whole well (the sqrt end point removed by
+    y = base + s u^2), at every 40th grid point."""
+    xs = default_grid(sym, e, h)
+    xl, xr = turning_points(sym, e)
+    xi = lambda y: math.sqrt(max(e - float(sym.v(y)), 0.0))
+
+    def phase(base, x):
+        s = -1.0 if x < base else 1.0
+        val, _ = quad(lambda u: 2.0 * s * u * xi(base + s * u * u), 0.0,
+                      math.sqrt(abs(x - base)), epsabs=1e-14, epsrel=1e-13,
+                      limit=400)
+        return val
+
+    idx = np.arange(0, len(xs), 40)
+    amp = 0.5 * (e - sym.v(xs[idx])) ** -0.25
+    for basepoint, base, sigma in (("a", xr, 1.0), ("a'", xl, -1.0)):
+        for rho in (+1, -1):
+            u = build_wkb(sym, e, h, basepoint, rho, xs=xs)
+            expected = np.array([
+                a * np.exp(1j * (rho * phase(base, x) / h
+                                 + rho * sigma * math.pi / 4.0))
+                for a, x in zip(amp, xs[idx])])
+            rel = np.abs(u.values[idx] - expected) / np.abs(expected)
+            assert np.max(rel) <= 1e-10, (basepoint, rho, np.max(rel))
+
+
+@pytest.mark.parametrize("sym,e,h", [w[1:] for w in PHASE_WELLS],
+                         ids=[w[0] for w in PHASE_WELLS])
+def test_gram_half_action_matches_orbit_quadrature(sym, e, h):
+    s0, _ = orbit_quadrature(sym, e)
+    assert gram_numeric(sym, e, h).s_half == pytest.approx(0.5 * s0,
+                                                           rel=1e-12)
+
+
+def test_wkb_requires_a_potential(harmonic):
+    sym = HamiltonianSymbol(p0=harmonic.p0, p1=harmonic.p1, p2=harmonic.p2)
+    xs = default_grid(harmonic, 0.5, 0.05)
+    for grid in (None, xs):
+        with pytest.raises(SymbolError):
+            build_wkb(sym, 0.5, 0.05, xs=grid)
 
 
 def test_wkb_order1_phase_shift():
