@@ -60,6 +60,10 @@ class RunConfig:
     cutoff_r2: float | None = None
 
     def validate(self):
+        for name, value in vars(self).items():  # every float key, and hbar
+            if (isinstance(value, float) or name == "hbar") \
+                    and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite")
         if self.order not in (0, 1, 2):
             raise ConfigError(f"order must be 0, 1 or 2, got {self.order}")
         if not self.energy_min < self.energy_max:

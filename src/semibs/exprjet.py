@@ -6,6 +6,11 @@ functions exp, log, sqrt, sin, cos, tanh.  Named parameters are bound to
 numeric values at parse time, so a parsed tree only ever contains numbers,
 the two variables, operators and function calls.
 
+Values come from a tree compiled once into nested closures (``compiled``,
+``compiled_derivs2``, memoised per tree; a lookup hashes the whole tree, so
+a loop fetches the callable once).  The closures make a recursive walk's
+numpy operations in its order, so values are bit-identical to such a walk.
+
 Differentiation is forward-mode on bivariate Taylor jets truncated at
 total degree 4 (enough for the fourth x-derivatives that the second-order
 action corrections require).  Jet arithmetic is exact truncated-polynomial
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -252,55 +258,90 @@ def to_string(e):
 
 
 # ---------------------------------------------------------------------------
-# Plain evaluation (floats or numpy arrays)
+# Compiled evaluation (floats or numpy arrays)
 # ---------------------------------------------------------------------------
 
-_NP_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-}
+COMPILE_CACHE_SIZE = 64   # distinct trees whose callables are remembered
+
+_NP_FUNCS = {name: getattr(np, name) for name in FUNCTIONS}
+_DOMAIN = {"log": (lambda v: v <= 0, "log of non-positive value"),
+           "sqrt": (lambda v: v < 0, "sqrt of negative value")}
 
 
 def evaluate(e, x, xi=0.0):
     """Evaluate the expression at (x, xi); x, xi may be numpy arrays."""
+    return compiled(e)(x, xi)
+
+
+def _any(test):  # an array test holds if any element does
+    return np.any(test) if isinstance(test, np.ndarray) else test
+
+
+def _pow(l, r):
+    """l ** r, with numpy's value where Python's float ``**`` raises."""
+    try:
+        return l ** r
+    except (OverflowError, ZeroDivisionError):
+        return np.float64(l) ** r
+
+
+def _compile(e):
+    """The callable f(x, xi=0.0) that evaluates the tree ``e``."""
     if isinstance(e, Num):
-        return e.value
+        c = e.value
+        return lambda x, xi=0.0: c
     if isinstance(e, Var):
-        return x if e.name == "x" else xi
+        return (lambda x, xi=0.0: x) if e.name == "x" else \
+            (lambda x, xi=0.0: xi)
+    where = str(e)
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x, xi)
+        a = _compile(e.arg)
+        return lambda x, xi=0.0: -a(x, xi)
     if isinstance(e, Call):
-        v = evaluate(e.arg, x, xi)
-        if e.func == "log" and np.any(np.asarray(v) <= 0):
-            raise ExprDomainError("log of non-positive value", str(e))
-        if e.func == "sqrt" and np.any(np.asarray(v) < 0):
-            raise ExprDomainError("sqrt of negative value", str(e))
-        return _NP_FUNCS[e.func](v)
-    l = evaluate(e.left, x, xi)
-    r = evaluate(e.right, x, xi)
+        a, fn = _compile(e.arg), _NP_FUNCS[e.func]
+        bad, message = _DOMAIN.get(e.func, (None, None))
+
+        def call(x, xi=0.0):
+            v = a(x, xi)
+            if bad and _any(bad(v)):
+                raise ExprDomainError(message, where)
+            return fn(v)
+        return call
+    left, right = _compile(e.left), _compile(e.right)
     if e.op == "+":
-        return l + r
+        return lambda x, xi=0.0: left(x, xi) + right(x, xi)
     if e.op == "-":
-        return l - r
+        return lambda x, xi=0.0: left(x, xi) - right(x, xi)
     if e.op == "*":
-        return l * r
+        return lambda x, xi=0.0: left(x, xi) * right(x, xi)
     if e.op == "/":
-        if np.any(np.asarray(r) == 0):
-            raise ExprDomainError("division by zero", str(e))
-        return l / r
-    # power
-    r_arr = np.asarray(r)
-    if np.any(np.asarray(l) < 0) and np.any(r_arr != np.floor(r_arr)):
-        raise ExprDomainError("fractional power of negative base", str(e))
-    with np.errstate(invalid="raise", divide="raise"):
-        try:
-            return l ** r
-        except FloatingPointError:
-            raise ExprDomainError("invalid power", str(e))
+        def div(x, xi=0.0):
+            l, r = left(x, xi), right(x, xi)
+            if _any(r == 0):
+                raise ExprDomainError("division by zero", where)
+            return l / r
+        return div
+    # a literal exponent is classed integer or not once, by the same test
+    c = e.right.value if isinstance(e.right, Num) else None
+    fractional = None if c is None else bool(c != np.floor(c))
+
+    def power(x, xi=0.0):
+        l, r = left(x, xi), (right(x, xi) if c is None else c)
+        if fractional is not False and _any(l < 0) \
+                and (fractional or _any(r != np.floor(r))):
+            raise ExprDomainError("fractional power of negative base", where)
+        if isinstance(l, float) and isinstance(r, float) \
+                and not (l == 0 and r < 0):  # pow flags no invalid/divide
+            return _pow(l, r)
+        with np.errstate(invalid="raise", divide="raise"):
+            try:
+                return l ** r
+            except (FloatingPointError, ZeroDivisionError):
+                raise ExprDomainError("invalid power", where)
+    return power
+
+
+compiled = lru_cache(maxsize=COMPILE_CACHE_SIZE)(_compile)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +500,11 @@ def _unary_derivs(func, c, subexpr):
 def _real_pow_derivs(c, r, subexpr):
     if np.any(np.asarray(c) <= 0):
         raise ExprDomainError("real power of non-positive base", subexpr)
-    out = [c ** r]
+    out = [_pow(c, r)]
     fac = 1.0
     for k in range(1, MAX_DEGREE + 1):
         fac *= r - (k - 1)
-        out.append(fac * c ** (r - k))
+        out.append(fac * _pow(c, r - k))
     return tuple(out)
 
 
@@ -514,57 +555,71 @@ def jet_eval(e, point):
 # ---------------------------------------------------------------------------
 
 def eval_x_derivs2(e, x):
-    """Return (f, f', f'') of the expression as a function of x alone.
-
-    ``x`` may be a float or a numpy array; xi must not appear in ``e``.
-    Cheaper than a full Jet2 evaluation; used in orbit tracing loops.
-    """
-    f, d1, d2 = _d2(e, x)
-    return f, d1, d2
+    """Return (f, f', f'') of the expression as a function of x alone; x may
+    be a float or a numpy array, and xi must not appear in ``e``."""
+    return compiled_derivs2(e)(x)
 
 
-def _d2(e, x):
+def _compile_derivs2(e):
+    """The callable x -> (f, f', f'') of the x-only tree ``e``."""
     if isinstance(e, Num):
-        z = x * 0.0
-        return e.value + z, z, z
+        return lambda x, c=e.value: (c + x * 0.0, x * 0.0, x * 0.0)
     if isinstance(e, Var):
         if e.name != "x":
-            raise ExprError("xi appears in a potential expression")
-        return x, x * 0.0 + 1.0, x * 0.0
+            def xi(x):
+                raise ExprError("xi appears in a potential expression")
+            return xi
+        return lambda x: (x, x * 0.0 + 1.0, x * 0.0)
+    where = str(e)
     if isinstance(e, Neg):
-        f, d1, d2 = _d2(e.arg, x)
-        return -f, -d1, -d2
+        a = _compile_derivs2(e.arg)
+        return lambda x: tuple(-d for d in a(x))
     if isinstance(e, Call):
-        u, u1, u2 = _d2(e.arg, x)
-        F, F1, F2, _, _ = _unary_derivs(e.func, u, str(e))
+        return _chain(_compile_derivs2(e.arg), lambda u, x, func=e.func:
+                      _unary_derivs(func, u, where)[:3])
+    left, op = _compile_derivs2(e.left), e.op
+    if op == "^" and isinstance(e.right, Num) \
+            and float(e.right.value).is_integer():
+        n = int(e.right.value)
+        return _chain(left, lambda l, x: (
+            _pow(l, n), n * _pow(l, n - 1),
+            n * (n - 1) * _pow(l, n - 2) if n != 1 else l * 0.0))
+    right = _compile_derivs2(e.right)
+    if op == "^":
+        def real_pow(l, x):
+            r, r1, _ = right(x)
+            if _any(r1 != 0):
+                raise ExprError("non-constant exponents unsupported in "
+                                "fast path")
+            return _real_pow_derivs(l, r, where)[:3]
+        return _chain(left, real_pow)
+
+    def binop(x):
+        (l, l1, l2), (r, r1, r2) = left(x), right(x)
+        if op == "+":
+            return l + r, l1 + r1, l2 + r2
+        if op == "-":
+            return l - r, l1 - r1, l2 - r2
+        if op == "*":
+            return l * r, l1 * r + l * r1, l2 * r + 2 * l1 * r1 + l * r2
+        if _any(r == 0):
+            raise ExprDomainError("division by zero", where)
+        q = l / r
+        q1 = (l1 - q * r1) / r
+        return q, q1, (l2 - 2 * q1 * r1 - q * r2) / r
+    return binop
+
+
+compiled_derivs2 = lru_cache(maxsize=COMPILE_CACHE_SIZE)(_compile_derivs2)
+
+
+def _chain(inner, outer):
+    """x -> (f, f', f'') of F(u(x)), where outer(u, x) gives (F, F', F'')."""
+    def chained(x):
+        u, u1, u2 = inner(x)
+        F, F1, F2 = outer(u, x)
         return F, F1 * u1, F2 * u1 * u1 + F1 * u2
-    l, l1, l2 = _d2(e.left, x)
-    if e.op == "^":
-        r = e.right
-        if isinstance(r, Num) and float(r.value).is_integer():
-            n = int(r.value)
-            F = l ** n
-            F1 = n * l ** (n - 1)
-            F2 = n * (n - 1) * l ** (n - 2) if n != 1 else l * 0.0
-            return F, F1 * l1, F2 * l1 * l1 + F1 * l2
-        rr, r1, _ = _d2(r, x)
-        if np.any(np.asarray(r1) != 0):
-            raise ExprError("non-constant exponents unsupported in fast path")
-        F, F1, F2, _, _ = _real_pow_derivs(l, rr, str(e))
-        return F, F1 * l1, F2 * l1 * l1 + F1 * l2
-    r, r1, r2 = _d2(e.right, x)
-    if e.op == "+":
-        return l + r, l1 + r1, l2 + r2
-    if e.op == "-":
-        return l - r, l1 - r1, l2 - r2
-    if e.op == "*":
-        return l * r, l1 * r + l * r1, l2 * r + 2 * l1 * r1 + l * r2
-    if np.any(np.asarray(r) == 0):
-        raise ExprDomainError("division by zero", str(e))
-    q = l / r
-    q1 = (l1 - q * r1) / r
-    q2 = (l2 - 2 * q1 * r1 - q * r2) / r
-    return q, q1, q2
+    return chained
 
 
 def variables(e):

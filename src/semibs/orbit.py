@@ -27,8 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from . import exprjet
-from .exprjet import eval_x_derivs2, evaluate, jet_eval
+from .exprjet import compiled, compiled_derivs2, jet_eval
 from .symbols import HamiltonianSymbol, SymbolError, well_minimum
 
 
@@ -67,17 +66,18 @@ def _turning_points(potential, e):
 
 
 def _bracket_root(potential, e, x0, direction):
+    v_of, derivs = compiled(potential), compiled_derivs2(potential)
     step = max(0.1, 0.1 * abs(x0))
     a = x0
     for _ in range(200):
         b = a + direction * step
-        if evaluate(potential, b) > e:
+        if v_of(b) > e:
             lo, hi = (b, a) if direction < 0 else (a, b)
-            x = brentq(lambda t: evaluate(potential, t) - e, lo, hi,
+            x = brentq(lambda t: v_of(t) - e, lo, hi,
                        xtol=1e-15, rtol=8.9e-16)
             # Newton polish using V' for |V - E| <= 1e-12 absolute
             for _ in range(3):
-                v, v1, _ = eval_x_derivs2(potential, x)
+                v, v1, _ = derivs(x)
                 if v1 == 0:
                     break
                 x -= (v - e) / v1
@@ -126,10 +126,10 @@ def trace_orbit(sym, e, rtol=1e-12, atol=1e-14):
     xl, xr = turning_points(sym, e)
     t_est = _period_estimate(sym, e, xl, xr)
 
-    pot = sym.potential
+    v_derivs = compiled_derivs2(sym.potential)
 
     def rhs(t, y):
-        _, v1, _ = exprjet.eval_x_derivs2(pot, y[0])
+        _, v1, _ = v_derivs(y[0])
         return (2.0 * y[1], -v1)
 
     def section(t, y):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .exprjet import Expr, parse, evaluate, eval_x_derivs2
+from .exprjet import Expr, compiled, eval_x_derivs2, evaluate, parse
 
 
 class SymbolError(Exception):
@@ -127,10 +127,10 @@ SIMPLE_TP_TOL = 1e-8
 def _scan_domain(potential, e_max, max_doublings=60):
     """Expand [-1, 1] until V exceeds e_max on both sides, or give up (None)
     for potentials with a finite asymptote below the window."""
-    lo, hi = -1.0, 1.0
+    lo, hi, v = -1.0, 1.0, compiled(potential)
     for _ in range(max_doublings):
-        ok_lo = evaluate(potential, lo) > e_max
-        ok_hi = evaluate(potential, hi) > e_max
+        ok_lo = v(lo) > e_max
+        ok_hi = v(hi) > e_max
         if ok_lo and ok_hi:
             return lo, hi
         if not ok_lo:
@@ -150,11 +150,11 @@ def _grid_minimum(potential, lo, hi):
     """(x0, V(x0)): the minimum of V on a 2001-point grid of [lo, hi],
     refined by a bounded Brent step between the grid minimum's neighbours.
     Pure in (V, lo, hi), so a cache hit returns what recomputing would."""
-    xs = np.linspace(lo, hi, 2001)
-    i0 = int(np.argmin(evaluate(potential, xs)))
+    v, xs = compiled(potential), np.linspace(lo, hi, 2001)
+    i0 = int(np.argmin(v(xs)))
     # bounds, not a bracket: a grid neighbour may tie with the grid minimum,
     # which a bracket refuses
-    res = minimize_scalar(lambda x: evaluate(potential, x),
+    res = minimize_scalar(v,
                           bounds=(xs[max(i0 - 1, 0)],
                                   xs[min(i0 + 1, len(xs) - 1)]),
                           method="bounded", options={"xatol": 1e-13})

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .exprjet import evaluate, is_zero_expr
+from .exprjet import compiled, evaluate, is_zero_expr
 from .orbit import turning_points
 
 
@@ -483,9 +483,10 @@ def commutator_wronskian_identity(sym, e, h, chi, xs):
     agree exactly up to discretization.
     """
     xs = np.asarray(xs, dtype=float)
+    v = compiled(sym.potential) if sym.schrodinger else sym.v  # sym.v raises
 
     def rhs_ode(x, y):
-        vv = float(sym.v(x))
+        vv = float(v(x))
         # y = (u, u', w, w')
         return [y[1], (vv - e) / (h * h) * y[0],
                 y[3], (vv - e) / (h * h) * y[2]]

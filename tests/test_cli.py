@@ -1,10 +1,11 @@
 """Command-line interface: configs, subcommands, CSV output, exit codes."""
 
+import configparser
 import io
 
 import pytest
 
-from semibs import orbit, wronlab
+from semibs import exprjet, orbit, symbols, wronlab
 from semibs.cli import (EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION,
                         ConfigError, RunConfig, main, parse_config)
 
@@ -245,6 +246,69 @@ def test_wronskian_check_integrates_the_phase_once(tmp_path, capsys,
     capsys.readouterr()
     assert calls == {"_offset_from_turning_point": 2,
                      "_cumulative_integral": 1}
+
+
+def test_gram_scan_compiles_each_expression_once(tmp_path, capsys,
+                                                 monkeypatch):
+    for memo in (exprjet.compiled, exprjet.compiled_derivs2,
+                 orbit._turning_points, symbols._grid_minimum):
+        memo.cache_clear()
+    solves = []
+    bracket_root = orbit._bracket_root
+
+    def counted(potential, e, x0, direction):
+        solves.append(e)
+        return bracket_root(potential, e, x0, direction)
+
+    monkeypatch.setattr(orbit, "_bracket_root", counted)
+    text = BASE_CONFIG.replace('potential = "x^2"',
+                               'potential = "x^2 + 0.3*x^4"\np1 = "0.1*x"') \
+                      .replace("order = 0", "order = 1")
+    assert main(["gram-scan", "--config", _write(tmp_path, text)]) == EXIT_OK
+    capsys.readouterr()
+    sym = parse_config(text).symbol()
+    distinct = len({sym.p0, sym.p1, sym.p2, sym.potential})
+    assert len(solves) > 100  # one pair of solves per energy the scan visits
+    assert 0 < exprjet.compiled.cache_info().misses <= distinct
+    assert 0 < exprjet.compiled_derivs2.cache_info().misses <= distinct
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_power_overflow_in_the_domain_scan_exits_2(tmp_path, capsys):
+    # the scan domain doubles out to |x| = 2^40, where x^31 overflows: V is
+    # -inf there, as numpy gives, so the scan gives up and the window is
+    # refused as above the barrier
+    text = BASE_CONFIG.replace('"x^2"', '"x^31 + x^2"') \
+                      .replace("hbar = 0.2", "hbar = 0.1") \
+                      .replace("energy_min = 0.05", "energy_min = 0.1") \
+                      .replace("energy_max = 1.1", "energy_max = 0.5")
+    cfg = _write(tmp_path, text)
+    for command in ("spectrum", "gram-scan", "wronskian-check", "oracle"):
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION, command
+        assert "e_max above the potential barrier" in capsys.readouterr().err
+
+
+FLOAT_KEYS = (("problem", "hbar"), ("problem", "energy_min"),
+              ("problem", "energy_max"), ("solver", "quad_tol"),
+              ("solver", "root_tol"), ("solver", "eta"),
+              ("oracle", "halfwidth_factor"), ("oracle", "shoot_tol"),
+              ("wronlab", "cutoff_r1"), ("wronlab", "cutoff_r2"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, section, key,
+                                         value):
+    cp = configparser.ConfigParser()
+    cp.read_string(BASE_CONFIG)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value
+    buf = io.StringIO()
+    cp.write(buf)
+    assert main(["spectrum", "--config",
+                 _write(tmp_path, buf.getvalue())]) == EXIT_VALIDATION
+    assert f"{key} must be finite" in capsys.readouterr().err
 
 
 def test_config_round_trip():

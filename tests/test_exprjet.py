@@ -1,13 +1,16 @@
-"""Expression parsing and second-order jet differentiation."""
+"""Expression parsing, compiled evaluation and jet differentiation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from semibs.exprjet import (ExprDomainError, ExprSyntaxError, JET_INDICES,
-                            evaluate, eval_x_derivs2, is_zero_expr, jet_eval,
-                            parse, to_string)
+from semibs.exprjet import (BinOp, Call, ExprDomainError, ExprError,
+                            ExprSyntaxError, JET_INDICES, Neg, Num, Var,
+                            _real_pow_derivs, _unary_derivs, evaluate,
+                            eval_x_derivs2, is_zero_expr, jet_eval, parse,
+                            to_string, variables)
 
 
 def _random_expr_text(rng):
@@ -160,3 +163,255 @@ def test_eval_x_derivs2_matches_jets():
 def test_is_zero_expr():
     assert is_zero_expr(parse("0"))
     assert not is_zero_expr(parse("x"))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the compiled callables against the recursive tree walks
+# they replaced, kept here as the reference
+
+
+def _walk(e, x, xi=0.0):
+    """The recursive tree walk ``evaluate`` used before it was compiled."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else xi
+    if isinstance(e, Neg):
+        return -_walk(e.arg, x, xi)
+    if isinstance(e, Call):
+        v = _walk(e.arg, x, xi)
+        if e.func == "log" and np.any(np.asarray(v) <= 0):
+            raise ExprDomainError("log of non-positive value", str(e))
+        if e.func == "sqrt" and np.any(np.asarray(v) < 0):
+            raise ExprDomainError("sqrt of negative value", str(e))
+        return getattr(np, e.func)(v)
+    l = _walk(e.left, x, xi)
+    r = _walk(e.right, x, xi)
+    if e.op == "+":
+        return l + r
+    if e.op == "-":
+        return l - r
+    if e.op == "*":
+        return l * r
+    if e.op == "/":
+        if np.any(np.asarray(r) == 0):
+            raise ExprDomainError("division by zero", str(e))
+        return l / r
+    r_arr = np.asarray(r)
+    if np.any(np.asarray(l) < 0) and np.any(r_arr != np.floor(r_arr)):
+        raise ExprDomainError("fractional power of negative base", str(e))
+    with np.errstate(invalid="raise", divide="raise"):
+        try:
+            return l ** r
+        except FloatingPointError:
+            raise ExprDomainError("invalid power", str(e))
+
+
+def _walk_derivs2(e, x):
+    """The recursive (f, f', f'') walk ``eval_x_derivs2`` used before."""
+    if isinstance(e, Num):
+        z = x * 0.0
+        return e.value + z, z, z
+    if isinstance(e, Var):
+        if e.name != "x":
+            raise ExprError("xi appears in a potential expression")
+        return x, x * 0.0 + 1.0, x * 0.0
+    if isinstance(e, Neg):
+        f, d1, d2 = _walk_derivs2(e.arg, x)
+        return -f, -d1, -d2
+    if isinstance(e, Call):
+        u, u1, u2 = _walk_derivs2(e.arg, x)
+        F, F1, F2, _, _ = _unary_derivs(e.func, u, str(e))
+        return F, F1 * u1, F2 * u1 * u1 + F1 * u2
+    l, l1, l2 = _walk_derivs2(e.left, x)
+    if e.op == "^":
+        r = e.right
+        if isinstance(r, Num) and float(r.value).is_integer():
+            n = int(r.value)
+            F = l ** n
+            F1 = n * l ** (n - 1)
+            F2 = n * (n - 1) * l ** (n - 2) if n != 1 else l * 0.0
+            return F, F1 * l1, F2 * l1 * l1 + F1 * l2
+        rr, r1, _ = _walk_derivs2(r, x)
+        if np.any(np.asarray(r1) != 0):
+            raise ExprError("non-constant exponents unsupported in fast path")
+        F, F1, F2, _, _ = _real_pow_derivs(l, rr, str(e))
+        return F, F1 * l1, F2 * l1 * l1 + F1 * l2
+    r, r1, r2 = _walk_derivs2(e.right, x)
+    if e.op == "+":
+        return l + r, l1 + r1, l2 + r2
+    if e.op == "-":
+        return l - r, l1 - r1, l2 - r2
+    if e.op == "*":
+        return l * r, l1 * r + l * r1, l2 * r + 2 * l1 * r1 + l * r2
+    if np.any(np.asarray(r) == 0):
+        raise ExprDomainError("division by zero", str(e))
+    q = l / r
+    q1 = (l1 - q * r1) / r
+    q2 = (l2 - 2 * q1 * r1 - q * r2) / r
+    return q, q1, q2
+
+
+# zero, negative bases under integer and fractional exponents, log and sqrt
+# at zero and below, division by zero, and powers that overflow a float
+EDGE_TEXTS = (
+    "x^2", "x^-2", "x^0.5", "x^1.5", "(x - 1)^3", "x^x", "x^xi", "xi^x",
+    "(-x)^0.5", "2^(x*xi)", "(x*xi)^-1", "0^x", "x^0", "x^3^2",
+    "x^31 + x^2", "10^x", "exp(x)^2", "exp(x)^-1", "exp(x)^0.5",
+    "sin(x)^-3", "cos(x)^0.5", "(x - 2.5)^-1.5", "log(x)", "sqrt(x)",
+    "log(sqrt(x))", "sqrt(log(x))", "1/x", "x/(x - x)", "tanh(x)/x",
+)
+EDGE_X = (0.0, -0.0, 1.0, -1.0, -2.5, 1.5, 1e200, -1e200, 2.0 ** 40,
+          -(2.0 ** 40), 1e-300)
+EDGE_XI = (0.0, -0.5, 2.0)
+
+
+def _bits(v):
+    a = np.asarray(v, dtype=float)
+    nan = np.isnan(a)
+    return type(v), a.shape, nan.tobytes(), np.where(nan, 0.0, a).tobytes()
+
+
+def _outcome(f, *args):
+    """What f(*args) does: its exception, or its value's type, NaN places
+    and the bits of every other element (per component for a tuple)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            v = f(*args)
+        except Exception as exc:
+            return "raise", type(exc), str(exc)
+    if isinstance(v, tuple):
+        return ("value",) + tuple(_bits(c) for c in v)
+    return "value", _bits(v)
+
+
+def _untyped(out):
+    return out if out[0] == "raise" else tuple(o[2:] for o in out[1:])
+
+
+def _as_element(f, e, x, xi=None):
+    """Whether f(e, x, xi) on a scalar does what the same element of a
+    one-element array gets, types aside."""
+    args = (x,) if xi is None else (x, xi)
+    got = _outcome(f, e, *args)
+    arrays = [np.array([a]) for a in args]
+    ref = _outcome(lambda: f(e, *arrays))
+    if ref[0] == "value":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            v = f(e, *arrays)
+        ref = _outcome(lambda: v[0] if not isinstance(v, tuple)
+                       else tuple(c[0] for c in v))
+    return _untyped(got) == _untyped(ref)
+
+
+# Python's float ** raises these where numpy gives +-inf or a divide flag;
+# the only departures allowed from the walks: there the compiled scalar
+# path does what the same element of an array does
+_PY_POWER_ERRORS = (OverflowError, ZeroDivisionError)
+
+
+def test_compiled_evaluate_matches_the_tree_walk(rng):
+    texts = [(_random_expr_text(rng), tuple(rng.uniform(-1.5, 1.5, 3)))
+             for _ in range(40)]
+    texts += [(t, EDGE_X) for t in EDGE_TEXTS]
+    departures = 0
+    for text, xs in texts:
+        e = parse(text)
+        for xi in EDGE_XI:
+            for x in xs:
+                for kind in (float, np.float64, lambda v: np.array([v])):
+                    args = (kind(x), kind(xi))
+                    ref = _outcome(_walk, e, *args)
+                    got = _outcome(evaluate, e, *args)
+                    if got != ref:
+                        departures += 1
+                        assert ref[0] == "raise" \
+                            and ref[1] in _PY_POWER_ERRORS \
+                            and _as_element(evaluate, e, *args), \
+                            f"{text} at ({x!r}, {xi!r})"
+            xs_arr = np.array(xs)
+            assert _outcome(evaluate, e, xs_arr, xi) == \
+                _outcome(_walk, e, xs_arr, xi), text
+    assert departures > 0
+
+
+def test_scalar_power_takes_what_the_array_gets():
+    inv = parse("x^-2")
+    with pytest.raises(ExprDomainError, match="invalid power"):
+        evaluate(inv, 0.0)
+    with pytest.raises(ExprDomainError, match="invalid power"):
+        evaluate(inv, np.array([0.0, 1.0]))
+    steep = parse("x^31 + x^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert evaluate(steep, -(2.0 ** 40)) == -np.inf
+        assert evaluate(steep, np.array([-(2.0 ** 40)]))[0] == -np.inf
+
+
+def test_compiled_derivs2_matches_the_tree_walk(rng):
+    # x-only trees: the random generator's xi replaced by a constant
+    texts = [(_random_expr_text(rng).replace("xi", "0.7"),
+              tuple(rng.uniform(-1.5, 1.5, 3))) for _ in range(40)]
+    texts += [(t, EDGE_X) for t in EDGE_TEXTS]
+    for text, xs in texts:
+        e = parse(text)
+        for x in xs:
+            for kind in (float, np.float64, lambda v: np.array([v])):
+                ref = _outcome(_walk_derivs2, e, kind(x))
+                got = _outcome(eval_x_derivs2, e, kind(x))
+                assert got == ref or (
+                    ref[0] == "raise" and ref[1] in _PY_POWER_ERRORS
+                    and _as_element(eval_x_derivs2, e, kind(x))), \
+                    f"{text} at {x!r}"
+
+
+def _constant_exponents(e):
+    if isinstance(e, BinOp):
+        return not (e.op == "^" and variables(e.right)) \
+            and _constant_exponents(e.left) and _constant_exponents(e.right)
+    return _constant_exponents(e.arg) if isinstance(e, (Neg, Call)) else True
+
+
+def _jet_derivs2(e, x):
+    jet = jet_eval(e, (x, 0.0))
+    return jet.value, jet.derivative(1, 0), jet.derivative(2, 0)
+
+
+def test_compiled_derivs2_agrees_with_jets_at_the_edges():
+    # the fast path's domain: x alone, exponents free of x
+    trees = [parse(t) for t in EDGE_TEXTS]
+    trees = [e for e in trees
+             if variables(e) == {"x"} and _constant_exponents(e)]
+    assert len(trees) >= 20
+    compared = 0
+    for e in trees:
+        for x in EDGE_X:
+            ref = _outcome(_jet_derivs2, e, x)
+            got = _outcome(eval_x_derivs2, e, x)
+            where = f"{e} at {x!r}: {got} vs {ref}"
+            if any(isinstance(o[1], type) and issubclass(o[1], ArithmeticError)
+                   and not issubclass(o[1], ExprError) for o in (ref, got)):
+                # a Python float over- or underflow in the derivative
+                # tables both paths share (the third and fourth
+                # derivatives of log and sqrt at tiny arguments)
+                continue
+            if ref[0] == "raise":
+                assert got[0] == "raise" and issubclass(got[1], ExprError), \
+                    where
+                continue
+            if got[0] == "raise":
+                # the fast path takes a negated literal exponent, x^-2 =
+                # x^(-2), as a real power, defined for a positive base only
+                assert "real power of non-positive base" in got[2], where
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                pairs = zip(eval_x_derivs2(e, x), _jet_derivs2(e, x))
+            for a, b in pairs:
+                if np.isfinite(a) and np.isfinite(b):
+                    compared += 1
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-300), \
+                        where
+    assert compared > 200
