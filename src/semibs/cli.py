@@ -20,14 +20,16 @@ from . import wronlab
 from .exprjet import (ExprDomainError, ExprSyntaxError, is_zero_expr,
                       variables)
 from .oracle import OracleConfig, OracleError, oracle_spectrum
-from .orbit import ConvergenceError, OrbitError
+from .orbit import ConvergenceError, OrbitError, turning_points
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
-                       convergence_fit, gram_scan)
+                       convergence_fit, gram_scan, resolve_eta)
 from .symbols import EnergyWindow, SymbolError, from_potential, validate_well
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
+
+GRAM_SCAN_STEPS = 200   # energies in a gram-scan sweep
 
 
 class ConfigError(Exception):
@@ -41,6 +43,35 @@ def _unquote(s):
     return s
 
 
+def _parse_hbar(raw):
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
+
+
+# Every config key as (section, key, type).  RunConfig has one field per
+# key, in this order, which is also the order --dump-config writes; the
+# type decides how a value is parsed, written and checked.
+CONFIG_KEYS = (
+    ("problem", "potential", str),
+    ("problem", "p1", str),
+    ("problem", "p2", str),
+    ("problem", "hbar", list),
+    ("problem", "energy_min", float),
+    ("problem", "energy_max", float),
+    ("solver", "order", int),
+    ("solver", "quad_tol", float),
+    ("solver", "root_tol", float),
+    ("solver", "eta", float),
+    ("oracle", "halfwidth_factor", float),
+    ("oracle", "shoot_tol", float),
+    ("wronlab", "grid_points_per_oscillation", int),
+    ("wronlab", "cutoff_r1", float),
+    ("wronlab", "cutoff_r2", float),
+)
+_PARSE = {str: str, list: _parse_hbar, float: float, int: int}
+_FORMAT = {str: lambda v: f'"{v}"', list: lambda v: ",".join(map(repr, v)),
+           float: repr, int: str}
+
+
 @dataclass
 class RunConfig:
     potential: str = "x^2"
@@ -52,18 +83,19 @@ class RunConfig:
     order: int = 2
     quad_tol: float = 1e-10
     root_tol: float = 1e-10
-    eta: float | None = None  # default 0.02 * window span
+    eta: float | None = None  # None: quantize.resolve_eta's default
     halfwidth_factor: float = 2.0
     shoot_tol: float = 1e-10
-    grid_points_per_oscillation: int = 12
+    grid_points_per_oscillation: int = 63
     cutoff_r1: float | None = None
     cutoff_r2: float | None = None
 
     def validate(self):
-        for name, value in vars(self).items():  # every float key, and hbar
-            if (isinstance(value, float) or name == "hbar") \
+        for _, key, kind in CONFIG_KEYS:
+            value = getattr(self, key)
+            if kind in (float, list) and value is not None \
                     and not np.all(np.isfinite(value)):
-                raise ConfigError(f"{name} must be finite")
+                raise ConfigError(f"{key} must be finite")
         if self.order not in (0, 1, 2):
             raise ConfigError(f"order must be 0, 1 or 2, got {self.order}")
         if not self.energy_min < self.energy_max:
@@ -82,12 +114,6 @@ class RunConfig:
         return self
 
     @property
-    def eta_value(self):
-        if self.eta is not None:
-            return self.eta
-        return 0.02 * (self.energy_max - self.energy_min)
-
-    @property
     def window(self):
         return EnergyWindow(self.energy_min, self.energy_max)
 
@@ -95,33 +121,18 @@ class RunConfig:
         return from_potential(self.potential, self.p1, self.p2)
 
     def dump(self, stream):
-        """Emit the effective configuration; re-parses to an equal config."""
+        """Emit the effective configuration (eta resolved, unset cutoffs
+        left out); re-parses to an equal config."""
         cp = configparser.ConfigParser()
-        cp["problem"] = {
-            "potential": f'"{self.potential}"',
-            "p1": f'"{self.p1}"',
-            "p2": f'"{self.p2}"',
-            "hbar": ",".join(repr(h) for h in self.hbar),
-            "energy_min": repr(self.energy_min),
-            "energy_max": repr(self.energy_max),
-        }
-        cp["solver"] = {
-            "order": str(self.order),
-            "quad_tol": repr(self.quad_tol),
-            "root_tol": repr(self.root_tol),
-            "eta": repr(self.eta_value),
-        }
-        cp["oracle"] = {
-            "halfwidth_factor": repr(self.halfwidth_factor),
-            "shoot_tol": repr(self.shoot_tol),
-        }
-        wsec = {"grid_points_per_oscillation":
-                str(self.grid_points_per_oscillation)}
-        if self.cutoff_r1 is not None:
-            wsec["cutoff_r1"] = repr(self.cutoff_r1)
-        if self.cutoff_r2 is not None:
-            wsec["cutoff_r2"] = repr(self.cutoff_r2)
-        cp["wronlab"] = wsec
+        for section, key, kind in CONFIG_KEYS:
+            value = getattr(self, key)
+            if key == "eta":
+                value = resolve_eta(value, self.window)
+            if value is None:
+                continue
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, _FORMAT[kind](value))
         cp.write(stream)
 
 
@@ -132,38 +143,14 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
     cfg = RunConfig()
-
-    def get(section, key, cast, default):
+    for section, key, kind in CONFIG_KEYS:
         if cp.has_option(section, key):
             raw = _unquote(cp.get(section, key))
             try:
-                return cast(raw)
+                setattr(cfg, key, _PARSE[kind](raw))
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r}") from exc
-        return default
-
-    def parse_hbar(raw):
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-    cfg.potential = get("problem", "potential", str, cfg.potential)
-    cfg.p1 = get("problem", "p1", str, cfg.p1)
-    cfg.p2 = get("problem", "p2", str, cfg.p2)
-    cfg.hbar = get("problem", "hbar", parse_hbar, cfg.hbar)
-    cfg.energy_min = get("problem", "energy_min", float, cfg.energy_min)
-    cfg.energy_max = get("problem", "energy_max", float, cfg.energy_max)
-    cfg.order = get("solver", "order", int, cfg.order)
-    cfg.quad_tol = get("solver", "quad_tol", float, cfg.quad_tol)
-    cfg.root_tol = get("solver", "root_tol", float, cfg.root_tol)
-    cfg.eta = get("solver", "eta", float, cfg.eta)
-    cfg.halfwidth_factor = get("oracle", "halfwidth_factor", float,
-                               cfg.halfwidth_factor)
-    cfg.shoot_tol = get("oracle", "shoot_tol", float, cfg.shoot_tol)
-    cfg.grid_points_per_oscillation = get(
-        "wronlab", "grid_points_per_oscillation", int,
-        cfg.grid_points_per_oscillation)
-    cfg.cutoff_r1 = get("wronlab", "cutoff_r1", float, cfg.cutoff_r1)
-    cfg.cutoff_r2 = get("wronlab", "cutoff_r2", float, cfg.cutoff_r2)
     return cfg.validate()
 
 
@@ -217,7 +204,7 @@ def _oracle_levels(cfg, sym, h):
 def cmd_spectrum(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
-    table = bs_solve(sym, h, cfg.window, order=cfg.order, eta=cfg.eta_value,
+    table = bs_solve(sym, h, cfg.window, order=cfg.order, eta=cfg.eta,
                      quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
     levels = _oracle_levels(cfg, sym, h)
     if levels is not None:
@@ -231,11 +218,11 @@ def cmd_spectrum(cfg, out):
     return EXIT_OK
 
 
-def cmd_gram_scan(cfg, out, steps=200):
+def cmd_gram_scan(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
-    evals, zeros = gram_scan(sym, cfg.window, h, steps=steps,
-                             order=cfg.order, eta=cfg.eta_value,
+    evals, zeros = gram_scan(sym, cfg.window, h, steps=GRAM_SCAN_STEPS,
+                             order=cfg.order, eta=cfg.eta,
                              quad_tol=cfg.quad_tol)
     es = np.array([g.e for g in evals])
     flagged = set()
@@ -264,7 +251,7 @@ def cmd_convergence(cfg, out):
         raise ConfigError("convergence requires at least 3 hbar values")
     rows = []
     for h in cfg.hbar:
-        table = bs_solve(sym, h, cfg.window, order=2, eta=cfg.eta_value,
+        table = bs_solve(sym, h, cfg.window, order=2, eta=cfg.eta,
                          quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
         levels = _oracle_levels(cfg, sym, h)
         if levels is None:
@@ -289,11 +276,10 @@ def cmd_wronskian_check(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
     e = 0.5 * (cfg.energy_min + cfg.energy_max)
-    ppo = max(cfg.grid_points_per_oscillation, 63)
-    xs = wronlab.default_grid(sym, e, h, points_per_oscillation=ppo)
+    xs = wronlab.default_grid(
+        sym, e, h, points_per_oscillation=cfg.grid_points_per_oscillation)
 
     if cfg.cutoff_r1 is not None and cfg.cutoff_r2 is not None:
-        from .orbit import turning_points
         xl, xr = turning_points(sym, e)
         chi_a = wronlab.CutoffSpec(center=xr, r1=cfg.cutoff_r1,
                                    r2=cfg.cutoff_r2)
@@ -317,7 +303,7 @@ def cmd_wronskian_check(cfg, out):
     checks.append(("chi_independence", chi_rep.difference, chi_rep.bound))
     checks.append(("sum_identity", abs(chi_rep.sum_identity),
                    1e-4 * max(chi_rep.norm_sq, 1.0)))
-    gram = wronlab.gram_numeric(sym, e, h, xs=xs)
+    gram = wronlab.gram_numeric(sym, e, h, xs=xs, chi_a=chi_a, chi_ap=chi_ap)
     checks.append(("gram_det_vs_analytic",
                    abs(gram.det - gram.analytic_det), 0.05))
     checks.append(("gram_off_diagonal",

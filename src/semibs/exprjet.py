@@ -220,8 +220,9 @@ def parse(text, params=None):
         kind, value, offset = toks.next()
         if kind == "num":
             return Num(value)
-        if kind == "-":
-            return Neg(base())
+        if kind == "-":  # a negated literal is a literal: x^-2 = x^Num(-2)
+            arg = base()
+            return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
         if kind == "(":
             node = expr()
             kind2, _, off2 = toks.next()
@@ -465,44 +466,48 @@ class Jet2:
         return out
 
 
-def _unary_derivs(func, c, subexpr):
-    c = np.asarray(c, dtype=float) if isinstance(c, np.ndarray) else float(c)
+def _unary_derivs(func, c, subexpr, count=MAX_DEGREE + 1):
+    """The first ``count`` (3 or 5) of f and its derivatives at c.  A scalar
+    c is taken as np.float64, so that an over- or underflow gives +-inf as
+    it does in an array, not a Python float exception."""
+    c = np.asarray(c, dtype=float) if isinstance(c, np.ndarray) \
+        else np.float64(c)
     if func == "exp":
-        e = np.exp(c)
-        return (e, e, e, e, e)
+        return (np.exp(c),) * count
     if func == "log":
         if np.any(np.asarray(c) <= 0):
             raise ExprDomainError("log of non-positive value", subexpr)
-        return (np.log(c), 1 / c, -1 / c ** 2, 2 / c ** 3, -6 / c ** 4)
+        d = (np.log(c), 1 / c, -1 / c ** 2)
+        return d if count == 3 else d + (2 / c ** 3, -6 / c ** 4)
     if func == "sqrt":
         if np.any(np.asarray(c) <= 0):
             raise ExprDomainError("sqrt of non-positive value", subexpr)
         s = np.sqrt(c)
-        return (s, 0.5 / s, -0.25 / (s * c), 0.375 / (s * c ** 2),
-                -0.9375 / (s * c ** 3))
+        d = (s, 0.5 / s, -0.25 / (s * c))
+        return d if count == 3 else \
+            d + (0.375 / (s * c ** 2), -0.9375 / (s * c ** 3))
     if func == "sin":
         s, co = np.sin(c), np.cos(c)
-        return (s, co, -s, -co, s)
+        return (s, co, -s, -co, s)[:count]
     if func == "cos":
         s, co = np.sin(c), np.cos(c)
-        return (co, -s, -co, s, co)
+        return (co, -s, -co, s, co)[:count]
     if func == "tanh":
         t = np.tanh(c)
         sech2 = 1 - t ** 2
-        d1 = sech2
-        d2 = -2 * t * sech2
-        d3 = 4 * t ** 2 * sech2 - 2 * sech2 ** 2
-        d4 = -8 * t ** 3 * sech2 + 16 * t * sech2 ** 2
-        return (t, d1, d2, d3, d4)
+        d = (t, sech2, -2 * t * sech2)
+        return d if count == 3 else d + (
+            4 * t ** 2 * sech2 - 2 * sech2 ** 2,
+            -8 * t ** 3 * sech2 + 16 * t * sech2 ** 2)
     raise ExprError(f"unknown function {func}")
 
 
-def _real_pow_derivs(c, r, subexpr):
+def _real_pow_derivs(c, r, subexpr, count=MAX_DEGREE + 1):
     if np.any(np.asarray(c) <= 0):
         raise ExprDomainError("real power of non-positive base", subexpr)
     out = [_pow(c, r)]
     fac = 1.0
-    for k in range(1, MAX_DEGREE + 1):
+    for k in range(1, count):
         fac *= r - (k - 1)
         out.append(fac * _pow(c, r - k))
     return tuple(out)
@@ -523,9 +528,6 @@ def jet_eval(e, point):
         base = jet_eval(e.left, point)
         if isinstance(e.right, Num) and float(e.right.value).is_integer():
             return base.ipow(int(e.right.value))
-        if isinstance(e.right, Neg) and isinstance(e.right.arg, Num) \
-                and float(e.right.arg.value).is_integer():
-            return base.ipow(-int(e.right.arg.value))
         expo = jet_eval(e.right, point)
         if any(np.any(np.asarray(c) != 0) for c in expo.coef[1:]):
             # b^g = exp(g log b) for non-constant exponents
@@ -576,14 +578,18 @@ def _compile_derivs2(e):
         return lambda x: tuple(-d for d in a(x))
     if isinstance(e, Call):
         return _chain(_compile_derivs2(e.arg), lambda u, x, func=e.func:
-                      _unary_derivs(func, u, where)[:3])
+                      _unary_derivs(func, u, where, 3))
     left, op = _compile_derivs2(e.left), e.op
     if op == "^" and isinstance(e.right, Num) \
             and float(e.right.value).is_integer():
         n = int(e.right.value)
-        return _chain(left, lambda l, x: (
-            _pow(l, n), n * _pow(l, n - 1),
-            n * (n - 1) * _pow(l, n - 2) if n != 1 else l * 0.0))
+
+        def int_pow(l, x):
+            if n < 0 and _any(l == 0):  # a pole, where evaluate raises too
+                raise ExprDomainError("invalid power", where)
+            return (_pow(l, n), n * _pow(l, n - 1),
+                    n * (n - 1) * _pow(l, n - 2) if n != 1 else l * 0.0)
+        return _chain(left, int_pow)
     right = _compile_derivs2(e.right)
     if op == "^":
         def real_pow(l, x):
@@ -591,7 +597,7 @@ def _compile_derivs2(e):
             if _any(r1 != 0):
                 raise ExprError("non-constant exponents unsupported in "
                                 "fast path")
-            return _real_pow_derivs(l, r, where)[:3]
+            return _real_pow_derivs(l, r, where, 3)
         return _chain(left, real_pow)
 
     def binop(x):

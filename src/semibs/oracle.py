@@ -35,14 +35,16 @@ class OracleError(Exception):
     pass
 
 
+BASE_N = 2000              # points of the first grid
+MAX_LEVELS = 200           # levels solved per window at most
+GRID_AGREE_TOL = 1e-9      # relative agreement of two successive grids
+MAX_GRID_DOUBLINGS = 4
+
+
 @dataclass
 class OracleConfig:
     halfwidth_factor: float = 2.0
-    base_n: int = 2000
     shoot_tol: float = 1e-12
-    max_count: int = 200
-    grid_agree_tol: float = 1e-9
-    max_grid_doublings: int = 4
 
 
 def _shoot(k, i_match):
@@ -254,11 +256,9 @@ def eigenfunction(sym, h, e, xl, xr, n_pts):
 
 def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
     """Eigenvalues of -h^2 d^2/dx^2 + V in the window, sorted ascending."""
-    if not sym.schrodinger:
-        raise OracleError("the oracle requires a Schrodinger symbol")
     cfg = cfg or OracleConfig()
     xl, xr = _domain(sym, h, window, cfg)
-    xs = np.linspace(xl, xr, cfg.base_n)
+    xs = np.linspace(xl, xr, BASE_N)
     v0 = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
     dx = xs[1] - xs[0]
     pref = dx * dx / (12.0 * h * h)
@@ -271,7 +271,7 @@ def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
     err_hi = _base_grid_error(window.e_max - v_floor, dx, h)
     n_min, n_max = (_count_nodes((pref * (e - v0)).tolist())
                     for e in (window.e_min - err_lo, window.e_max + err_hi))
-    n_max = min(n_max, n_min + cfg.max_count)
+    n_max = min(n_max, n_min + MAX_LEVELS)
 
     results = []
     counts = []
@@ -299,9 +299,9 @@ def _base_grid_error(de, dx, h):
 
 def _refined_level(sym, h, xl, xr, e_lo, e_hi, n_nodes, cfg):
     """One eigenvalue with grid-doubling Richardson refinement."""
-    n = cfg.base_n
+    n = BASE_N
     prev = None
-    for _ in range(cfg.max_grid_doublings + 1):
+    for _ in range(MAX_GRID_DOUBLINGS + 1):
         xs = np.linspace(xl, xr, n)
         v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
         i_match = int(np.argmin(v))
@@ -310,7 +310,7 @@ def _refined_level(sym, h, xl, xr, e_lo, e_hi, n_nodes, cfg):
                            n_nodes, cfg.shoot_tol)
         if prev is not None:
             rich = (16.0 * e - prev) / 15.0
-            if abs(e - prev) / 15.0 <= cfg.grid_agree_tol * (1.0 + abs(e)):
+            if abs(e - prev) / 15.0 <= GRID_AGREE_TOL * (1.0 + abs(e)):
                 return rich
         prev = e
         n = 2 * (n - 1) + 1

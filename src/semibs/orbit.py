@@ -28,7 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .exprjet import compiled, compiled_derivs2, jet_eval
-from .symbols import HamiltonianSymbol, SymbolError, well_minimum
+from .symbols import HamiltonianSymbol, well_minimum
 
 
 class OrbitError(Exception):
@@ -47,8 +47,6 @@ TURNING_POINT_CACHE_SIZE = 4096   # distinct (V, E) pairs remembered
 def turning_points(sym, e):
     """(x_left, x_right) with V = e, by bracketed root refinement outward
     from the well minimum; memoised on (V, e)."""
-    if not sym.schrodinger:
-        raise SymbolError("turning_points requires a Schrodinger symbol")
     return _turning_points(sym.potential, float(e))
 
 

@@ -32,6 +32,11 @@ S2_SIGN = -1.0
 
 MASLOV_PHASE = math.pi / 2.0
 
+# a local minimum of |det| on the gram_scan grid below this counts as a zero
+GRAM_ZERO_TOL = 1e-6
+S0_GRID_POINTS = 33       # energies of the S0 table that brackets each level
+DENSE_SCAN_POINTS = 801   # energies the non-monotone fallback scans
+
 
 class QuantizeError(Exception):
     pass
@@ -52,7 +57,6 @@ class SpectrumRow:
 class SpectrumTable:
     h: float
     rows: list = field(default_factory=list)
-    monotone: bool = True  # False when the h^2 term broke monotonicity
 
     def energies(self, order):
         key = {0: "e_order0", 1: "e_order1", 2: "e_order2"}[order]
@@ -66,6 +70,12 @@ class GramEval:
     action_diff: float
     maslov_phase: float
     det: float
+
+
+def resolve_eta(eta, window):
+    """The E-step of the S2 finite differences: ``eta``, or 2% of the
+    window's span when it is None."""
+    return 0.02 * (window.e_max - window.e_min) if eta is None else eta
 
 
 class _SeriesEvaluator:
@@ -107,8 +117,8 @@ class _SeriesEvaluator:
         return s0 + correction
 
 
-def _monotone_s0_grid(ev, e_min, e_max, n=33):
-    es = np.linspace(e_min, e_max, n)
+def _monotone_s0_grid(ev, e_min, e_max):
+    es = np.linspace(e_min, e_max, S0_GRID_POINTS)
     vals = np.array([ev.s0(e) for e in es])
     if not np.all(np.diff(vals) > 0):
         raise QuantizeError(
@@ -160,9 +170,9 @@ def _solve_level(ev, e, es, vals, target, root_tol):
         f"level iteration did not converge near E = {e} (h too large?)")
 
 
-def _dense_scan_roots(ev, e_min, e_max, target, root_tol, steps=801):
+def _dense_scan_roots(ev, e_min, e_max, target, root_tol):
     """Fallback when S_eff is non-monotone: locate every sign change."""
-    es = np.linspace(e_min, e_max, steps)
+    es = np.linspace(e_min, e_max, DENSE_SCAN_POINTS)
     g = np.array([ev.value(e) - target for e in es])
     roots = []
     for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
@@ -182,9 +192,7 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
         raise QuantizeError("order must be 0, 1 or 2")
     if h <= 0:
         raise QuantizeError("h must be positive")
-    span = window.e_max - window.e_min
-    if eta is None:
-        eta = 0.02 * span
+    eta = resolve_eta(eta, window)
 
     evaluators = [
         _SeriesEvaluator(sym, h, m, eta, quad_tol=quad_tol, s2_sign=s2_sign)
@@ -196,8 +204,7 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
 
     s_lo = ev_top.value(window.e_min)
     s_hi = ev_top.value(window.e_max)
-    monotone = s_lo < s_hi
-    lo, hi = (s_lo, s_hi) if monotone else (s_hi, s_lo)
+    lo, hi = (s_lo, s_hi) if s_lo < s_hi else (s_hi, s_lo)
     two_pi_h = 2.0 * math.pi * h
     k_min = math.ceil(lo / two_pi_h - 0.5 - 1e-12)
     k_max = math.floor(hi / two_pi_h - 0.5 + 1e-12)
@@ -219,7 +226,6 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
                                           target, root_tol)
                 if not roots:
                     raise
-                table.monotone = False
                 levels.append(roots[0])
         while len(levels) < 3:
             levels.append(levels[-1])
@@ -266,19 +272,16 @@ def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None,
 
 
 def gram_scan(sym, window, h, steps=200, order=2, eta=None, quad_tol=1e-12,
-              s2_sign=None, zero_tol=1e-6):
+              s2_sign=None):
     """Scan the Gram determinant on a uniform grid and localize its zeros.
 
     Returns (evals, zeros): the grid of GramEval records and the refined
-    energies where |det| dips below ``zero_tol``.
+    energies where |det| dips below ``GRAM_ZERO_TOL``.
     """
     if steps < 2:
         raise QuantizeError("gram_scan requires steps >= 2")
-    span = window.e_max - window.e_min
-    if eta is None:
-        eta = 0.02 * span
-    ev = _SeriesEvaluator(sym, h, order, eta, quad_tol=quad_tol,
-                          s2_sign=s2_sign)
+    ev = _SeriesEvaluator(sym, h, order, resolve_eta(eta, window),
+                          quad_tol=quad_tol, s2_sign=s2_sign)
 
     es = np.linspace(window.e_min, window.e_max, steps)
     evals = [gram_det(sym, e, h, order, _evaluator=ev) for e in es]
@@ -291,7 +294,7 @@ def gram_scan(sym, window, h, steps=200, order=2, eta=None, quad_tol=1e-12,
                 lambda e: abs(gram_det(sym, e, h, order, _evaluator=ev).det),
                 bounds=(es[i - 1], es[i + 1]), method="bounded",
                 options={"xatol": 1e-12})
-            if abs(res.fun) < zero_tol:
+            if abs(res.fun) < GRAM_ZERO_TOL:
                 zeros.append(float(res.x))
     return evals, zeros
 

@@ -1,7 +1,7 @@
 """Hamiltonian symbol model: built-in potentials and single-well validation.
 
-A symbol is the triple (p0, p1, p2) of expressions in (x, xi).  The
-Schrodinger specialization p0 = xi^2 + V(x) carries the potential
+A symbol is the triple (p0, p1, p2) of expressions in (x, xi) with p0 in
+Schrodinger form, p0 = xi^2 + V(x).  The potential V is carried
 separately so that turning-point and oracle machinery can work on V
 directly.
 
@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .exprjet import Expr, compiled, eval_x_derivs2, evaluate, parse
+from .exprjet import (Expr, compiled, eval_x_derivs2, evaluate, parse,
+                      variables)
 
 
 class SymbolError(Exception):
@@ -30,22 +31,14 @@ class HamiltonianSymbol:
     p0: Expr
     p1: Expr
     p2: Expr
-    potential: Expr | None = None  # V when p0 = xi^2 + V(x)
+    potential: Expr  # V, with p0 = xi^2 + V(x)
     name: str = "custom"
 
-    @property
-    def schrodinger(self):
-        return self.potential is not None
-
     def v(self, x):
-        if self.potential is None:
-            raise SymbolError("symbol is not in Schrodinger form")
         return evaluate(self.potential, x)
 
     def v_derivs(self, x):
         """(V, V', V'') at x; x may be an array."""
-        if self.potential is None:
-            raise SymbolError("symbol is not in Schrodinger form")
         return eval_x_derivs2(self.potential, x)
 
     def p0_value(self, x, xi):
@@ -74,6 +67,8 @@ def from_potential(v_text, p1_text="0", p2_text="0", params=None, name="custom")
     """Build a Schrodinger symbol p0 = xi^2 + V from expression strings."""
     params = params or {}
     v = parse(v_text, params)
+    if "xi" in variables(v):
+        raise SymbolError("the potential must not read xi")
     p0 = parse(f"xi^2 + ({v_text})", params)
     return HamiltonianSymbol(
         p0=p0,
@@ -122,13 +117,16 @@ class WellReport:
 
 
 SIMPLE_TP_TOL = 1e-8
+SCAN_MAX_DOUBLINGS = 60     # doublings of [-1, 1] before a scan gives up
+WELL_GRID_POINTS = 4001     # validate_well's grid on the scan domain
+WELL_ENERGY_SAMPLES = 9     # energies in the window validate_well checks
 
 
-def _scan_domain(potential, e_max, max_doublings=60):
+def _scan_domain(potential, e_max):
     """Expand [-1, 1] until V exceeds e_max on both sides, or give up (None)
     for potentials with a finite asymptote below the window."""
     lo, hi, v = -1.0, 1.0, compiled(potential)
-    for _ in range(max_doublings):
+    for _ in range(SCAN_MAX_DOUBLINGS):
         ok_lo = v(lo) > e_max
         ok_hi = v(hi) > e_max
         if ok_lo and ok_hi:
@@ -168,15 +166,13 @@ def well_minimum(potential, e):
     return None if dom is None else _grid_minimum(potential, *dom)
 
 
-def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
-    """Check the single-well hypotheses for a Schrodinger symbol.
+def validate_well(sym, window):
+    """Check the single-well hypotheses for a symbol.
 
     Confirms: V has a unique minimum x0 with V(x0) < e_min; for sampled
     energies in the window {V <= E} is one interval with simple turning
     points.  Returns a WellReport; failures are collected, not raised.
     """
-    if not sym.schrodinger:
-        raise SymbolError("validate_well requires a Schrodinger symbol")
     report = WellReport(ok=True)
 
     dom = _scan_domain(sym.potential, window.e_max)
@@ -186,11 +182,11 @@ def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
             "e_max above the potential barrier (V never exceeds the window)")
         return report
     lo, hi = report.scan_domain = dom
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, WELL_GRID_POINTS)
     vs = sym.v(xs)
 
     i0 = int(np.argmin(vs))
-    if i0 == 0 or i0 == n_grid - 1:
+    if i0 == 0 or i0 == WELL_GRID_POINTS - 1:
         report.ok = False
         report.failures.append("potential minimum not interior to scan domain")
         return report
@@ -200,7 +196,7 @@ def validate_well(sym, window, n_energy_samples=9, n_grid=4001):
         report.failures.append(
             f"V(x0) = {report.v_min:.6g} is not below e_min = {window.e_min:.6g}")
 
-    energies = np.linspace(window.e_min, window.e_max, n_energy_samples)
+    energies = np.linspace(window.e_min, window.e_max, WELL_ENERGY_SAMPLES)
     for e in energies:
         below = vs <= e
         # count maximal runs of True

@@ -483,7 +483,7 @@ def commutator_wronskian_identity(sym, e, h, chi, xs):
     agree exactly up to discretization.
     """
     xs = np.asarray(xs, dtype=float)
-    v = compiled(sym.potential) if sym.schrodinger else sym.v  # sym.v raises
+    v = compiled(sym.potential)
 
     def rhs_ode(x, y):
         vv = float(v(x))
@@ -533,11 +533,14 @@ def _branch_fluxes(sym, e, h, basepoint, chi, order, xs):
     return up, um, fp, fm
 
 
-def _resolve_transitions(xs, cutoffs, points_per_width=64):
+TRANSITION_POINTS = 64    # grid points across a cutoff's transition
+
+
+def _resolve_transitions(xs, cutoffs):
     """Refine a grid (keeping its endpoints) until every cutoff transition
-    is sampled by at least ``points_per_width`` points."""
+    is sampled by at least ``TRANSITION_POINTS`` points."""
     width = min(c.r2 - c.r1 for c in cutoffs)
-    dx_needed = width / points_per_width
+    dx_needed = width / TRANSITION_POINTS
     if xs[1] - xs[0] > dx_needed:
         n = int(math.ceil((xs[-1] - xs[0]) / dx_needed)) + 1
         return np.linspace(xs[0], xs[-1], n)
@@ -649,10 +652,13 @@ class GramReport:
     off_diag_expected: float  # -sin(S(a',a)/h)
 
 
-def gram_numeric(sym, e, h, order=0, xs=None):
-    """Numerical 2x2 Gram matrix of the two turning-point solutions."""
-    chi_a = default_cutoff(sym, e, h, "a")
-    chi_ap = default_cutoff(sym, e, h, "a'")
+def gram_numeric(sym, e, h, order=0, xs=None, chi_a=None, chi_ap=None):
+    """Numerical 2x2 Gram matrix of the two turning-point solutions, with
+    the cutoffs chi_a at a and chi_ap at a' (default ones when None)."""
+    if chi_a is None:
+        chi_a = default_cutoff(sym, e, h, "a")
+    if chi_ap is None:
+        chi_ap = default_cutoff(sym, e, h, "a'")
     if xs is None:
         xs = _resolve_transitions(default_grid(sym, e, h), [chi_a, chi_ap])
     xs = np.asarray(xs, dtype=float)

@@ -6,8 +6,10 @@ import io
 import pytest
 
 from semibs import exprjet, orbit, symbols, wronlab
-from semibs.cli import (EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION,
-                        ConfigError, RunConfig, main, parse_config)
+from semibs.cli import (CONFIG_KEYS, EXIT_NONCONVERGENCE, EXIT_OK,
+                        EXIT_VALIDATION, ConfigError, RunConfig, main,
+                        parse_config)
+from semibs.quantize import resolve_eta
 
 
 BASE_CONFIG = """\
@@ -322,7 +324,7 @@ def test_config_round_trip():
     assert cfg2.potential == cfg.potential
     assert cfg2.hbar == cfg.hbar
     assert cfg2.order == cfg.order
-    assert cfg2.eta_value == cfg.eta_value
+    assert cfg2.eta == resolve_eta(cfg.eta, cfg.window)
 
 
 def test_config_parsing_errors():
@@ -350,3 +352,73 @@ def test_dump_config_flag(tmp_path, capsys):
 
 def test_default_config_is_valid():
     RunConfig().validate()
+
+
+def test_config_key_table_covers_every_field():
+    assert [key for _, key, _ in CONFIG_KEYS] == list(vars(RunConfig()))
+
+
+CUTOFF_CONFIG = """\
+[problem]
+potential = "x^2"
+hbar = 0.02
+energy_min = 0.3
+energy_max = 0.7
+"""
+
+
+def _checks(capsys):
+    lines = capsys.readouterr().out.strip().splitlines()[1:]
+    return {line.split(",")[0]: line.split(",")[1] for line in lines}
+
+
+def test_wronskian_check_gram_rows_use_the_configured_cutoffs(
+        tmp_path, capsys, monkeypatch):
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, CUTOFF_CONFIG)]) == EXIT_OK
+    default = _checks(capsys)
+    cutoffs = []
+    gram_numeric = wronlab.gram_numeric
+
+    def spy(*args, **kwargs):
+        cutoffs.append((kwargs.get("chi_a"), kwargs.get("chi_ap")))
+        return gram_numeric(*args, **kwargs)
+
+    monkeypatch.setattr(wronlab, "gram_numeric", spy)
+    text = CUTOFF_CONFIG + "[wronlab]\ncutoff_r1 = 0.35\ncutoff_r2 = 0.55\n"
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_OK
+    custom = _checks(capsys)
+    assert [(c.r1, c.r2) for c in cutoffs[0]] == [(0.35, 0.55)] * 2
+    for name in ("flux_norm_a", "gram_off_diagonal"):
+        assert custom[name] != default[name], name
+
+
+def test_grid_points_per_oscillation_is_used_as_given(tmp_path, capsys,
+                                                      monkeypatch):
+    asked = []
+    default_grid = wronlab.default_grid
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["points_per_oscillation"])
+        return default_grid(*args, **kwargs)
+
+    monkeypatch.setattr(wronlab, "default_grid", spy)
+    for ppo in (20, 63, 80):
+        text = (CUTOFF_CONFIG
+                + f"[wronlab]\ngrid_points_per_oscillation = {ppo}\n")
+        assert main(["wronskian-check", "--config",
+                     _write(tmp_path, text)]) == EXIT_OK
+    capsys.readouterr()
+    assert asked == [20, 63, 80]
+    assert RunConfig().grid_points_per_oscillation == 63
+
+
+@pytest.mark.parametrize("command", ["spectrum", "gram-scan", "oracle",
+                                     "wronskian-check", "convergence"])
+def test_potential_reading_xi_exits_2(tmp_path, capsys, command):
+    text = BASE_CONFIG.replace('"x^2"', '"x^2 + xi"') \
+                      .replace("hbar = 0.2", "hbar = 0.2,0.15,0.1")
+    assert main([command, "--config", _write(tmp_path, text)]) \
+        == EXIT_VALIDATION
+    assert "must not read xi" in capsys.readouterr().err

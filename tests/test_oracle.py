@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from semibs import oracle, orbit
-from semibs.exprjet import parse
-from semibs.oracle import (OracleConfig, OracleError, _solve_on_grid,
+from semibs.oracle import (OracleConfig, _solve_on_grid,
                            eigenfunction, oracle_spectrum)
 from semibs.quantize import convergence_fit
-from semibs.symbols import EnergyWindow, HamiltonianSymbol, builtin
+from semibs.symbols import EnergyWindow, builtin
 
 
 def test_harmonic_spectrum(harmonic, window):
@@ -78,13 +77,6 @@ def test_morse_finite_asymptote(window):
     assert len(energies) > 0
     assert all(window.e_min <= e <= window.e_max for e in energies)
     assert all(np.diff(energies) > 0)
-
-
-def test_oracle_requires_schrodinger_symbol(window):
-    sym = HamiltonianSymbol(p0=parse("xi^2 + x^2"), p1=parse("0"),
-                            p2=parse("0"))
-    with pytest.raises(OracleError):
-        oracle_spectrum(sym, 0.1, window)
 
 
 def test_oracle_uses_nothing_from_orbit(monkeypatch, harmonic, window):

@@ -11,9 +11,8 @@ from semibs.symbols import builtin
 
 
 def _base_grid(sym, h, window):
-    cfg = OracleConfig()
-    xl, xr = _domain(sym, h, window, cfg)
-    xs = np.linspace(xl, xr, cfg.base_n)
+    xl, xr = _domain(sym, h, window, OracleConfig())
+    xs = np.linspace(xl, xr, oracle.BASE_N)
     v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
     return v, xs[1] - xs[0], int(np.argmin(v))
 
@@ -52,7 +51,7 @@ def wells(window):
 
 
 def test_bracketed_levels_match_node_count_bisection(wells):
-    tol = OracleConfig().grid_agree_tol
+    tol = oracle.GRID_AGREE_TOL
     for v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
         assert len(levels) >= 5
         for n in levels:
@@ -75,7 +74,7 @@ def test_unconfirmed_bracket_falls_back_to_bisection(wells, monkeypatch):
         return lapack(d, e, select=select, select_range=(i, i))
 
     monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", next_level)
-    tol = OracleConfig().grid_agree_tol
+    tol = oracle.GRID_AGREE_TOL
     for v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
         n = levels[1]
         assert _fd_bracket(v, dx, h, e_lo, e_hi, n, nodes) is None

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from semibs import orbit
+from semibs import orbit, quantize
 from semibs.oracle import oracle_spectrum
 from semibs.quantize import (QuantizeError, attach_oracle, bs_solve,
                              convergence_fit, gram_det, gram_scan)
@@ -101,6 +101,29 @@ def test_bs_solve_argument_validation(harmonic, window):
     with pytest.raises(QuantizeError):
         # window too narrow to contain any level
         bs_solve(harmonic, 0.3, EnergyWindow(0.35, 0.55), order=0)
+
+
+def test_dense_scan_fallback_levels_solve_the_condition(monkeypatch):
+    """A large p2 stalls the fixed point; the dense scan's levels still
+    solve the order-2 condition to root_tol."""
+    found = []
+    dense_scan_roots = quantize._dense_scan_roots
+
+    def spy(ev, e_min, e_max, target, root_tol):
+        roots = dense_scan_roots(ev, e_min, e_max, target, root_tol)
+        found.append((ev, target, root_tol, roots))
+        return roots
+
+    monkeypatch.setattr(quantize, "_dense_scan_roots", spy)
+    sym = builtin("harmonic", {"p2": "30*x^2"})
+    table = bs_solve(sym, 0.2, EnergyWindow(0.3, 2.0), order=2)
+    assert found
+    assert [r.e_order2 for r in table.rows] == [f[3][0] for f in found]
+    for ev, target, root_tol, roots in found:
+        assert ev.order == 2 and roots
+        for e in roots:
+            lo, hi = (ev.value(e + d) - target for d in (-root_tol, root_tol))
+            assert lo * hi <= 0, (e, lo, hi)
 
 
 def test_gram_det_zero_at_levels_and_minus_one_between(harmonic):

@@ -23,6 +23,13 @@ def test_builtin_accepts_lambda_alias():
     assert anh.v(1.0) == pytest.approx(1.25)
 
 
+def test_potential_must_not_read_xi():
+    with pytest.raises(SymbolError, match="must not read xi"):
+        from_potential("x^2 + xi")
+    with pytest.raises(SymbolError, match="must not read xi"):
+        builtin("custom", {"potential": "x^2*cos(xi)"})
+
+
 def test_builtin_parameter_errors():
     with pytest.raises(SymbolError):
         builtin("morse")  # missing D, a
@@ -41,7 +48,6 @@ def test_p1_p2_overrides():
 
 def test_schrodinger_form():
     sym = builtin("harmonic")
-    assert sym.schrodinger
     assert sym.p0_value(1.0, 2.0) == pytest.approx(5.0)
     v, v1, v2 = sym.v_derivs(1.5)
     assert (v, v1, v2) == (pytest.approx(2.25), pytest.approx(3.0),

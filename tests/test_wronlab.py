@@ -14,8 +14,7 @@ from semibs.wronlab import (CutoffSpec, GridError, GridFunction, WronlabError,
                             default_grid, dump_csv, flux_norm_check,
                             gram_numeric)
 from semibs.orbit import orbit_quadrature, turning_points
-from semibs.symbols import (HamiltonianSymbol, SymbolError, builtin,
-                            from_potential)
+from semibs.symbols import builtin, from_potential
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +188,6 @@ def test_gram_half_action_matches_orbit_quadrature(sym, e, h):
     s0, _ = orbit_quadrature(sym, e)
     assert gram_numeric(sym, e, h).s_half == pytest.approx(0.5 * s0,
                                                            rel=1e-12)
-
-
-def test_wkb_requires_a_potential(harmonic):
-    sym = HamiltonianSymbol(p0=harmonic.p0, p1=harmonic.p1, p2=harmonic.p2)
-    xs = default_grid(harmonic, 0.5, 0.05)
-    for grid in (None, xs):
-        with pytest.raises(SymbolError):
-            build_wkb(sym, 0.5, 0.05, xs=grid)
 
 
 def test_wkb_order1_phase_shift():
