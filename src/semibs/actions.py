@@ -1,18 +1,21 @@
 """Action series S0, S1, S2 and the pointwise quantities feeding them.
 
-S2 is assembled from the closed-orbit form
+S2, the h^2 coefficient of the quantization condition, is
 
-    S2 = (1/48) (d/dE)^2 \\oint Gamma dt - \\oint p2 dt
-         - (1/2) (d/dE) \\oint p1^2 dt
+    S2 = -(1/12) (d/dE) \\oint V'' dt + (1/2) (d/dE) \\oint p1^2 dt
+         - \\oint p2 dt,
 
-where Gamma dt is the restriction to the orbit of the curvature 1-form of
-p0.  Every closed-orbit integral at one energy (S0, the period,
-\\oint p1 dt, \\oint p2 dt, \\oint Gamma dt, \\oint p1^2 dt) comes from one
-call of ``orbit.orbit_quadrature``; ODE-traced orbits serve only as the
-tests' reference (``gamma_integral``).  E-derivatives are 5-point central
-differences across neighboring energies, with one Richardson
-extrapolation at half step.  The pointwise Fourier-side density t1_value
-and the d1 bracket terms are kept for near-focal-arc verification;
+the Schrodinger form of Colin de Verdiere, "Bohr-Sommerfeld rules to all
+orders" (Ann. Henri Poincare 6, 2005); ``s2_value`` puts it together.
+``gamma_dd`` keeps its meaning (d/dE)^2 \\oint Gamma dt, Gamma =
+4 xi^2 V'' + 2 V'^2: since d/dt(xi V') = 2 xi^2 V'' - V'^2 along the flow,
+(d/dE) \\oint Gamma dt = 4 \\oint V'' dt, so one E-derivative suffices.
+Every closed-orbit integral at one energy comes from one call of
+``orbit.orbit_quadrature``; ODE-traced orbits and the Gamma integrand serve
+only as the tests' reference (``gamma_integral``).  E-derivatives are
+5-point central differences across neighboring energies, with one
+Richardson extrapolation at half step.  The pointwise Fourier-side density
+t1_value and the d1 bracket terms are kept for near-focal-arc verification;
 full-orbit quadrature of them is never attempted (they are singular at the
 well bottom).
 """
@@ -30,6 +33,10 @@ from .symbols import HamiltonianSymbol
 
 MASLOV_TERM = math.pi  # two simple focal points, pi/2 each
 
+# Overall sign of the h^2 curvature and p1^2 terms, calibrated once against
+# the independent eigenvalue oracle on the quartic well (see tests).
+S2_SIGN = -1.0
+
 
 class FocalEvaluationError(Exception):
     """t1/d1 evaluated where alpha = d_x p0 is too small."""
@@ -46,11 +53,17 @@ class ActionSeries:
     maslov: float
     sub_principal: float  # \oint p1 dt
     s1: float
-    gamma_dd: float       # (d/dE)^2 \oint Gamma dt
+    gamma_dd: float       # (d/dE)^2 \oint Gamma dt = 4 (d/dE) \oint V'' dt
     p2_int: float         # \oint p2 dt
     p1sq_d: float         # (d/dE) \oint p1^2 dt
-    s2: float
+    s2: float             # the S2 of the quantization condition
     derivative_consistent: bool  # eta vs eta/2 estimates agreed to 1e-6
+
+
+def s2_value(gamma_dd, p1sq_d, p2_int, sign):
+    """S2 from its three parts; ``sign`` (``S2_SIGN`` but for calibration
+    runs) scales the curvature and p1^2 parts, and p2 enters as -oint p2."""
+    return sign * (gamma_dd / 48.0 - 0.5 * p1sq_d) - p2_int
 
 
 def _gamma_on_samples(sym, x, xi):
@@ -70,17 +83,11 @@ def _d1_5pt(values, eta):
     return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * eta)
 
 
-def _d2_5pt(values, eta):
-    """4th-order second derivative from values at E + {-2,-1,0,1,2} eta."""
-    m2, m1, c, p1, p2 = values
-    return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * eta * eta)
-
-
 def action_series(sym, e, eta, quad_tol=1e-12):
     """Compute the action series at energy e with E-derivative step eta."""
 
-    def gamma(x, xi):
-        return _gamma_on_samples(sym, x, xi)
+    def v_dd(x, xi):
+        return sym.v_derivs(x)[2] + 0.0 * x
 
     def p1(x, xi):
         return evaluate(sym.p1, x, xi) + 0.0 * x
@@ -94,42 +101,34 @@ def action_series(sym, e, eta, quad_tol=1e-12):
     def one(x, xi):
         return np.ones_like(x)
 
-    # integrands differentiated in E: oint Gamma dt and oint p1^2 dt
-    stencil_fs = [gamma, p1_sq]
+    # integrands differentiated in E: oint V'' dt and oint p1^2 dt
+    stencil_fs = [v_dd, p1_sq]
     s0, (period, sub, p2_int, *at_e) = orbit_quadrature(
         sym, e, [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
 
     # stencil energies for step eta and eta/2 (Richardson)
     offsets = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-    stencil_vals = {
-        off: at_e if off == 0.0 else orbit_quadrature(
-            sym, e + off * eta, stencil_fs, rel_tol=quad_tol)[1]
-        for off in offsets}
-    g_vals = {off: v[0] for off, v in stencil_vals.items()}
-    q_vals = {off: v[1] for off, v in stencil_vals.items()}
-
-    def stencil(vals, offs):
-        return [vals[o] for o in offs]
-
+    vals = {off: at_e if off == 0.0 else orbit_quadrature(
+                sym, e + off * eta, stencil_fs, rel_tol=quad_tol)[1]
+            for off in offsets}
     full = (-2.0, -1.0, 0.0, 1.0, 2.0)
     half = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    derivs, consistent = [], True
+    for i in range(len(stencil_fs)):
+        d_eta = _d1_5pt([vals[o][i] for o in full], eta)
+        d_half = _d1_5pt([vals[o][i] for o in half], 0.5 * eta)
+        d = (16.0 * d_half - d_eta) / 15.0
+        consistent = consistent and (
+            abs(d_eta - d_half) <= 1e-6 * (1.0 + abs(d)))
+        derivs.append(d)
+    v_dd_d, p1sq_d = derivs
 
-    g_dd_eta = _d2_5pt(stencil(g_vals, full), eta)
-    g_dd_half = _d2_5pt(stencil(g_vals, half), 0.5 * eta)
-    gamma_dd = (16.0 * g_dd_half - g_dd_eta) / 15.0
-    consistent = abs(g_dd_eta - g_dd_half) <= 1e-6 * (1.0 + abs(gamma_dd))
-
-    q_d_eta = _d1_5pt(stencil(q_vals, full), eta)
-    q_d_half = _d1_5pt(stencil(q_vals, half), 0.5 * eta)
-    p1sq_d = (16.0 * q_d_half - q_d_eta) / 15.0
-    consistent = consistent and (
-        abs(q_d_eta - q_d_half) <= 1e-6 * (1.0 + abs(p1sq_d)))
-
-    s2 = gamma_dd / 48.0 - p2_int - 0.5 * p1sq_d
+    gamma_dd = 4.0 * v_dd_d
     return ActionSeries(
         e=e, s0=s0, period=period, maslov=MASLOV_TERM, sub_principal=sub,
         s1=MASLOV_TERM - sub, gamma_dd=gamma_dd, p2_int=p2_int,
-        p1sq_d=p1sq_d, s2=s2, derivative_consistent=consistent)
+        p1sq_d=p1sq_d, s2=s2_value(gamma_dd, p1sq_d, p2_int, S2_SIGN),
+        derivative_consistent=consistent)
 
 
 def _frame_data(sym, frame, xi):

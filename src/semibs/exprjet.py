@@ -527,7 +527,10 @@ def jet_eval(e, point):
     if e.op == "^":
         base = jet_eval(e.left, point)
         if isinstance(e.right, Num) and float(e.right.value).is_integer():
-            return base.ipow(int(e.right.value))
+            try:
+                return base.ipow(int(e.right.value))
+            except JetDivisionError:
+                raise ExprDomainError("invalid power", str(e))
         expo = jet_eval(e.right, point)
         if any(np.any(np.asarray(c) != 0) for c in expo.coef[1:]):
             # b^g = exp(g log b) for non-constant exponents

@@ -2,15 +2,17 @@
 
 The level condition solved here is
 
-    S0(E) - h \\oint p1 dt + h^2 (s2_sign (G/48 - P/2) - \\oint p2 dt)
-        = 2 pi h (k + 1/2),
+    S0(E) - h \\oint p1 dt + h^2 S2(E) = 2 pi h (k + 1/2),
+    S2 = -(1/12) (d/dE) \\oint V'' dt + (1/2) (d/dE) \\oint p1^2 dt
+         - \\oint p2 dt,
 
-with G = (d/dE)^2 \\oint Gamma dt, P = (d/dE) \\oint p1^2 dt, and the Maslov
-contribution of the two focal points folded into the half-integer offset.
-S0 and the orbit integrals come from ``orbit.orbit_quadrature`` (through
-``actions.action_series`` at order 2); no ODE orbit is traced here.  The
-Gram determinant is the closed form -cos^2(action_diff/(2h) + pi/2) whose
-zero set coincides with the level set of the condition above.
+with the Maslov contribution of the two focal points folded into the
+half-integer offset; S2 is ``actions.s2_value`` at ``S2_SIGN``, the same
+value as ``ActionSeries.s2``.  S0 and the orbit integrals come from
+``orbit.orbit_quadrature`` (through ``actions.action_series`` at order 2);
+no ODE orbit is traced here.  The Gram determinant is the closed form
+-cos^2(action_diff/(2h) + pi/2) whose zero set coincides with the level set
+of the condition above.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .actions import action_series
+from .actions import S2_SIGN, action_series, s2_value
 from .exprjet import evaluate
 from .orbit import orbit_quadrature
 from .symbols import EnergyWindow, HamiltonianSymbol
-
-# Overall sign of the h^2 term, calibrated once against the independent
-# eigenvalue oracle on the quartic well (see tests).
-S2_SIGN = -1.0
 
 MASLOV_PHASE = math.pi / 2.0
 
@@ -98,10 +96,8 @@ class _SeriesEvaluator:
         h = self.h
         if self.order == 2:
             ser = action_series(self.sym, e, self.eta, quad_tol=self.quad_tol)
-            # s2_sign scales the curvature and p1^2 parts of S2; the p2
-            # term enters as -h^2 oint p2 dt
-            s2 = self.s2_sign * (ser.gamma_dd / 48.0 - 0.5 * ser.p1sq_d)
-            return ser.s0, -h * ser.sub_principal + h * h * (s2 - ser.p2_int)
+            s2 = s2_value(ser.gamma_dd, ser.p1sq_d, ser.p2_int, self.s2_sign)
+            return ser.s0, -h * ser.sub_principal + h * h * s2
         if self.order == 1:
             s0, (sub,) = orbit_quadrature(self.sym, e, [self.p1],
                                           rel_tol=self.quad_tol)
@@ -148,9 +144,10 @@ def _solve_level(ev, e, es, vals, target, root_tol):
     """Solve S_eff(E) = target by fixed-point iteration on the correction,
     starting from the order-0 root e of S0(E) = target.
 
-    The iteration contracts by O(h^2) per step; it is accepted either at
-    root_tol or when the step size stops shrinking, which marks the noise
-    floor of the finite-difference S2 evaluation.
+    The iteration contracts by O(h^2) per step and is accepted at
+    root_tol.  A step that does not shrink by half (h too large for the
+    fixed point) raises ``QuantizeError``, and ``bs_solve`` falls back to
+    the dense scan.
     """
     if ev.order == 0:
         return e
@@ -161,8 +158,6 @@ def _solve_level(ev, e, es, vals, target, root_tol):
         if step <= root_tol * (1.0 + abs(e_new)):
             return e_new
         if step >= 0.5 * prev_step:
-            if step <= 1e-6 * (1.0 + abs(e_new)):
-                return e_new  # stalled at the S2 noise floor
             break  # not contracting: h too large for the fixed point
         prev_step = step
         e = e_new
@@ -190,8 +185,8 @@ def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
     """
     if order not in (0, 1, 2):
         raise QuantizeError("order must be 0, 1 or 2")
-    if h <= 0:
-        raise QuantizeError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise QuantizeError("h must be positive and finite")
     eta = resolve_eta(eta, window)
 
     evaluators = [

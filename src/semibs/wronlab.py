@@ -225,6 +225,18 @@ def airy_exclusion(sym, e, h):
     return tuple(out)
 
 
+MAX_GRID_POINTS = 2 ** 20  # largest grid a request may build (8 MB per array)
+
+
+def _uniform_grid(a, b, n):
+    """np.linspace(a, b, n), refused with GridError before allocating when
+    n exceeds ``MAX_GRID_POINTS``."""
+    if n > MAX_GRID_POINTS:
+        raise GridError(f"grid of {n:.2e} points exceeds the limit of "
+                        f"{MAX_GRID_POINTS} points")
+    return np.linspace(a, b, n)
+
+
 def default_grid(sym, e, h, points_per_oscillation=63):
     """Uniform grid between the turning zones resolving the oscillations.
 
@@ -240,8 +252,7 @@ def default_grid(sym, e, h, points_per_oscillation=63):
     xi_max = math.sqrt(max(e - v_min, 0.0))
     dx_osc = 2.0 * math.pi * h / (xi_max * points_per_oscillation)
     dx = min(dx_osc, h / (10.0 * xi_max))
-    n = int(math.ceil((b - a) / dx)) + 1
-    return np.linspace(a, b, n)
+    return _uniform_grid(a, b, int(math.ceil((b - a) / dx)) + 1)
 
 
 def _check_grid(sym, e, h, xs, v):
@@ -543,7 +554,7 @@ def _resolve_transitions(xs, cutoffs):
     dx_needed = width / TRANSITION_POINTS
     if xs[1] - xs[0] > dx_needed:
         n = int(math.ceil((xs[-1] - xs[0]) / dx_needed)) + 1
-        return np.linspace(xs[0], xs[-1], n)
+        return _uniform_grid(xs[0], xs[-1], n)
     return xs
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semibs import wronlab
 from semibs.symbols import EnergyWindow, builtin
 
 
@@ -24,3 +25,16 @@ def window():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20230817)
+
+
+@pytest.fixture()
+def refuse_large_grids(monkeypatch):
+    """np.linspace fails, instead of allocating, above the grid limit, so a
+    test can ask for an oversized grid without building it."""
+    linspace = np.linspace
+
+    def guarded(start, stop, num=50, **kwargs):
+        assert num <= wronlab.MAX_GRID_POINTS, f"allocating {num} points"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)

@@ -2,6 +2,7 @@
 
 import configparser
 import io
+import time
 
 import pytest
 
@@ -422,3 +423,15 @@ def test_potential_reading_xi_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", _write(tmp_path, text)]) \
         == EXIT_VALIDATION
     assert "must not read xi" in capsys.readouterr().err
+
+
+def test_wronskian_check_refuses_an_unbounded_grid(tmp_path, capsys,
+                                                   refuse_large_grids):
+    # about 1.0e8 grid points: refused with exit 3 before any is allocated
+    text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.1") \
+                      .replace("energy_max = 1.1", "energy_max = 1e6")
+    t0 = time.perf_counter()
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_NONCONVERGENCE
+    assert time.perf_counter() - t0 <= 5.0
+    assert "exceeds the limit" in capsys.readouterr().err

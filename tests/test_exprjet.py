@@ -370,6 +370,12 @@ def test_compiled_evaluate_matches_the_tree_walk(rng):
     assert departures > 0
 
 
+@pytest.mark.parametrize("text", ["x^-2", "sin(x)^-3"])
+def test_jet_of_a_negative_power_at_a_zero_base_is_a_domain_error(text):
+    with pytest.raises(ExprDomainError, match="invalid power"):
+        jet_eval(parse(text), (0.0, 0.0))
+
+
 def test_scalar_power_takes_what_the_array_gets():
     inv = parse("x^-2")
     with pytest.raises(ExprDomainError, match="invalid power"):

@@ -96,8 +96,9 @@ def test_attach_oracle_pairs_by_node_count(harmonic, window):
 def test_bs_solve_argument_validation(harmonic, window):
     with pytest.raises(QuantizeError):
         bs_solve(harmonic, 0.1, window, order=3)
-    with pytest.raises(QuantizeError):
-        bs_solve(harmonic, -0.1, window)
+    for h in (-0.1, math.nan, math.inf):
+        with pytest.raises(QuantizeError):
+            bs_solve(harmonic, h, window)
     with pytest.raises(QuantizeError):
         # window too narrow to contain any level
         bs_solve(harmonic, 0.3, EnergyWindow(0.35, 0.55), order=0)

@@ -113,6 +113,18 @@ def test_grid_violations_are_rejected(harmonic):
         build_wkb(harmonic, e, h, xs=xs[::8])
 
 
+def test_grid_size_is_refused_before_allocating(harmonic,
+                                                refuse_large_grids):
+    # h = 0.1 at E = 5e5 asks for about 1.0e8 points
+    with pytest.raises(GridError, match=r"grid of 1\.0\de\+08 points"):
+        default_grid(harmonic, 0.5 * (0.05 + 1e6), 0.1)
+    # refining for a very narrow cutoff transition is bounded the same way
+    xs = default_grid(harmonic, 0.5, 0.05)
+    narrow = CutoffSpec(center=0.0, r1=0.1, r2=0.1 + 1e-7)
+    with pytest.raises(GridError, match="exceeds the limit"):
+        wronlab._resolve_transitions(xs, [narrow])
+
+
 # ---------------------------------------------------------------------------
 # WKB branches
 
