@@ -206,6 +206,7 @@ def _gl_theta(n):
 
 QUAD_NODES = 32       # first Gauss-Legendre node count, doubled per refinement
 QUAD_REFINEMENTS = 5
+_EPS = np.finfo(float).eps
 
 
 def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
@@ -216,8 +217,12 @@ def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
     \\oint f dt = int (f(x, xi+) + f(x, -xi+)) rad sin(theta) / (2 xi+) dtheta,
     whose integrands are smooth in theta.  The Gauss-Legendre node count
     is doubled from QUAD_NODES until two successive values of every
-    integral agree to rel_tol; ConvergenceError after QUAD_REFINEMENTS
-    doublings.
+    integral agree to rel_tol or to within their rounding floor;
+    ConvergenceError after QUAD_REFINEMENTS doublings.  The floor: next to
+    a turning point E - V(x) is rounded to about eps (|E| + |V|), a relative
+    error eps (|E| + |V|) / (2 xi+^2) in xi+ and 1/xi+; weighted by each
+    node's |term|, it grows as the nodes close in on the turning points and,
+    where V' is small there (Morse near dissociation), passes 1e-12.
     """
     xl, xr = turning_points(sym, e)
     mid, rad = 0.5 * (xl + xr), 0.5 * (xr - xl)
@@ -225,21 +230,37 @@ def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
     def integrals(n):
         cos, jac = _gl_theta(n)
         x = mid - rad * cos
-        xi = np.sqrt(np.maximum(e - sym.v(x), 0.0))
+        v = sym.v(x)
+        xi_sq = e - v
+        xi = np.sqrt(np.maximum(xi_sq, 0.0))
         # rad sin(theta) / xi+ stays finite at both ends
         dt = rad * jac / (2.0 * np.maximum(xi, 1e-150))
-        vals = [2.0 * rad * float(np.sum(xi * jac))]
-        vals += [float(np.sum((f(x, xi) + f(x, -xi)) * dt)) for f in fs]
-        return np.array(vals)
+        terms = [(f(x, xi) + f(x, -xi)) * dt for f in fs]
+        xi_jac = xi * jac
+        vals = [2.0 * rad * float(np.sum(xi_jac))]
+        vals += [float(np.sum(t)) for t in terms]
+        return np.array(vals), (v, xi_sq, xi_jac, terms)
+
+    def rounding_floor(parts):
+        v, xi_sq, xi_jac, terms = parts
+        rel_err = np.divide(_EPS * (abs(e) + np.abs(v)), 2.0 * xi_sq,
+                            out=np.zeros_like(xi_sq), where=xi_sq > 0.0)
+        floors = [2.0 * rad * float(np.sum(xi_jac * rel_err))]
+        floors += [float(np.sum(np.abs(t) * rel_err)) for t in terms]
+        return np.array(floors)
 
     n = QUAD_NODES
-    prev = integrals(n)
+    prev, prev_parts = integrals(n)
     for _ in range(QUAD_REFINEMENTS):
         n *= 2
-        cur = integrals(n)
-        if np.all(np.abs(cur - prev) <= rel_tol * (1.0 + np.abs(cur))):
+        cur, parts = integrals(n)
+        diff, tol = np.abs(cur - prev), rel_tol * (1.0 + np.abs(cur))
+        # the floor is formed only for a doubling that misses rel_tol
+        if np.all(diff <= tol) or np.all(
+                diff <= tol + rounding_floor(parts)
+                + rounding_floor(prev_parts)):
             return float(cur[0]), [float(v) for v in cur[1:]]
-        prev = cur
+        prev, prev_parts = cur, parts
     raise ConvergenceError("orbit quadrature did not converge "
                            f"after {QUAD_REFINEMENTS} refinements at E = {e}")
 

@@ -85,6 +85,22 @@ def test_quadrature_refuses_a_kinked_well():
         orbit_quadrature(from_potential("sqrt(x^2)"), 0.5)
 
 
+@pytest.mark.parametrize("d, a", [(1.0, 1.0), (3.0, 0.5)])
+@pytest.mark.parametrize("frac", [0.9, 0.99, 0.999])
+def test_quadrature_converges_near_dissociation(d, a, frac):
+    # near E = D the right turning point sits where V' is small, and the
+    # rounding of E - V(x) at the nodes next to it exceeds 1e-12 relative;
+    # the quadrature must still stop, at the closed forms
+    # S0 = (2 pi sqrt(D) / a) (1 - sqrt(1 - E/D)) and oint V'' dt = 2 pi a sqrt(D)
+    sym = builtin("morse", {"D": d, "a": a})
+    s0, (v_dd,) = orbit_quadrature(
+        sym, frac * d, [lambda x, xi: sym.v_derivs(x)[2] + 0.0 * x])
+    assert s0 == pytest.approx(
+        2.0 * math.pi * math.sqrt(d) / a * (1.0 - math.sqrt(1.0 - frac)),
+        rel=1e-12)
+    assert v_dd == pytest.approx(2.0 * math.pi * a * math.sqrt(d), rel=1e-10)
+
+
 def test_energy_conservation_along_orbits():
     for name, params in ALL_WELLS:
         sym = builtin(name, params)

@@ -7,7 +7,7 @@ from semibs import actions, quantize
 from semibs.actions import action_series, gamma_integral
 from semibs.orbit import orbit_quadrature, trace_orbit
 from semibs.quantize import QuantizeError, bs_solve, gram_scan
-from semibs.symbols import builtin, from_potential
+from semibs.symbols import EnergyWindow, builtin, from_potential
 
 
 @pytest.mark.parametrize("e", [0.3, 0.6])
@@ -17,6 +17,20 @@ def test_morse_s2_vanishes(e, eta):
     ser = action_series(builtin("morse", {"D": 1.0, "a": 1.0}), e, eta)
     assert abs(ser.s2) <= 1e-10
     assert ser.derivative_consistent
+
+
+@pytest.mark.parametrize("quad_tol", [1e-12, 1e-10])
+def test_order2_morse_levels_near_dissociation(quad_tol):
+    # the Morse spectrum E_n = 2 a sqrt(D) h (n + 1/2) - a^2 h^2 (n + 1/2)^2
+    # is exact at order 2 (S2 = 0); levels 15-17 of h = 0.05 lie at
+    # 0.95-0.98 D, where V' is small at the right turning point
+    h = 0.05
+    table = bs_solve(builtin("morse", {"D": 1.0, "a": 1.0}), h,
+                     EnergyWindow(0.94, 0.99), order=2, quad_tol=quad_tol)
+    assert [row.n for row in table.rows] == [15, 16, 17]
+    for row in table.rows:
+        k = row.n + 0.5
+        assert abs(row.e_order2 - (2.0 * h * k - h * h * k * k)) <= 1e-10
 
 
 @pytest.mark.parametrize("sym", [builtin("quartic"),
