@@ -84,7 +84,11 @@ def _d1_5pt(values, eta):
 
 
 def action_series(sym, e, eta, quad_tol=1e-12):
-    """Compute the action series at energy e with E-derivative step eta."""
+    """Compute the action series at energy e with E-derivative step eta.
+
+    ``e`` is a number or a 1-D array of energies; for an array every field
+    is an array over it, from two array quadratures: one at the energies,
+    one at all their stencil energies together."""
 
     def v_dd(x, xi):
         return sym.v_derivs(x)[2] + 0.0 * x
@@ -107,10 +111,19 @@ def action_series(sym, e, eta, quad_tol=1e-12):
         sym, e, [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
 
     # stencil energies for step eta and eta/2 (Richardson)
-    offsets = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-    vals = {off: at_e if off == 0.0 else orbit_quadrature(
-                sym, e + off * eta, stencil_fs, rel_tol=quad_tol)[1]
-            for off in offsets}
+    offsets = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+    if np.ndim(e) == 0:
+        vals = {off: orbit_quadrature(sym, e + off * eta, stencil_fs,
+                                      rel_tol=quad_tol)[1]
+                for off in offsets}
+    else:
+        e = np.asarray(e, dtype=float)
+        _, ints = orbit_quadrature(
+            sym, np.concatenate([e + off * eta for off in offsets]),
+            stencil_fs, rel_tol=quad_tol)
+        rows = [np.split(i, len(offsets)) for i in ints]
+        vals = {off: [r[k] for r in rows] for k, off in enumerate(offsets)}
+    vals[0.0] = at_e
     full = (-2.0, -1.0, 0.0, 1.0, 2.0)
     half = (-1.0, -0.5, 0.0, 0.5, 1.0)
     derivs, consistent = [], True
@@ -118,7 +131,7 @@ def action_series(sym, e, eta, quad_tol=1e-12):
         d_eta = _d1_5pt([vals[o][i] for o in full], eta)
         d_half = _d1_5pt([vals[o][i] for o in half], 0.5 * eta)
         d = (16.0 * d_half - d_eta) / 15.0
-        consistent = consistent and (
+        consistent = consistent & (
             abs(d_eta - d_half) <= 1e-6 * (1.0 + abs(d)))
         derivs.append(d)
     v_dd_d, p1sq_d = derivs

@@ -450,6 +450,9 @@ class Jet2:
         for k in range(1, MAX_DEGREE + 1):
             pw = pw * u
             out = out + pw * (derivs[k] / _FACT[k])
+        # u is nilpotent, so the value is f(c) alone: an infinite derivative
+        # must not reach it as 0 * inf
+        out.coef[0] = derivs[0]
         return out
 
     def ipow(self, n):
@@ -475,12 +478,12 @@ def _unary_derivs(func, c, subexpr, count=MAX_DEGREE + 1):
     if func == "exp":
         return (np.exp(c),) * count
     if func == "log":
-        if np.any(np.asarray(c) <= 0):
+        if not np.all(np.asarray(c) > 0):  # NaN fails too
             raise ExprDomainError("log of non-positive value", subexpr)
         d = (np.log(c), 1 / c, -1 / c ** 2)
         return d if count == 3 else d + (2 / c ** 3, -6 / c ** 4)
     if func == "sqrt":
-        if np.any(np.asarray(c) <= 0):
+        if not np.all(np.asarray(c) > 0):  # NaN fails too
             raise ExprDomainError("sqrt of non-positive value", subexpr)
         s = np.sqrt(c)
         d = (s, 0.5 / s, -0.25 / (s * c))
@@ -503,7 +506,7 @@ def _unary_derivs(func, c, subexpr, count=MAX_DEGREE + 1):
 
 
 def _real_pow_derivs(c, r, subexpr, count=MAX_DEGREE + 1):
-    if np.any(np.asarray(c) <= 0):
+    if not np.all(np.asarray(c) > 0):  # NaN fails too
         raise ExprDomainError("real power of non-positive base", subexpr)
     out = [_pow(c, r)]
     fac = 1.0

@@ -10,6 +10,12 @@ The substitution x = mid - rad cos(theta) removes the square-root end
 singularities, and Gauss-Legendre in theta converges spectrally.
 ``turning_points`` solves V = E outward from ``symbols.well_minimum`` and
 is memoised on (V, E): each pair is solved once, however many layers ask.
+An energy array takes another path: one vectorised Newton solve for all its
+turning points, then one 2-D (energies x nodes) quadrature, with the node
+count refined per energy.  Its values agree with one call per energy to a
+few ulp in the turning points and S0, and to the rounding floor (about
+1e-12 relative) in the integrals of 1/xi+, which an ulp in a turning point
+moves.
 
 The ODE route is kept as the independent reference the tests compare the
 quadrature against: ``trace_orbit`` integrates the Hamilton flow with an
@@ -28,7 +34,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .exprjet import compiled, compiled_derivs2, jet_eval
-from .symbols import HamiltonianSymbol, well_minimum
+from .symbols import (HamiltonianSymbol, scan_domain, scan_domain_array,
+                      well_minimum, well_minimum_array)
 
 
 class OrbitError(Exception):
@@ -42,6 +49,7 @@ class ConvergenceError(OrbitError):
 ENERGY_DRIFT_TOL = 1e-9
 CLOSURE_TOL = 1e-8
 TURNING_POINT_CACHE_SIZE = 4096   # distinct (V, E) pairs remembered
+TP_NEWTON_ITERATIONS = 100   # safeguarded Newton steps of an array solve
 
 
 def turning_points(sym, e):
@@ -50,38 +58,113 @@ def turning_points(sym, e):
     return _turning_points(sym.potential, float(e))
 
 
+def _check_bottom(e, bottom):
+    """OrbitError unless the well bottom (x0, V(x0)) exists below e."""
+    if bottom is None:
+        raise OrbitError(f"V does not rise above E = {e} on both sides")
+    if not e > bottom[1]:
+        raise OrbitError(f"E = {e} is at or below the well bottom "
+                         f"V(x0) = {bottom[1]}")
+
+
 @lru_cache(maxsize=TURNING_POINT_CACHE_SIZE)
 def _turning_points(potential, e):
     bottom = well_minimum(potential, e)
-    if bottom is None:
-        raise OrbitError(f"V does not rise above E = {e} on both sides")
-    x0, v0 = bottom
-    if not e > v0:
-        raise OrbitError(f"E = {e} is at or below the well bottom "
-                         f"V(x0) = {v0}")
+    _check_bottom(e, bottom)
+    x0 = bottom[0]
     return (_bracket_root(potential, e, x0, direction=-1),
             _bracket_root(potential, e, x0, direction=+1))
 
 
 def _bracket_root(potential, e, x0, direction):
+    """The root of V = e outward from x0: Brent's method on [x0, x0 + step],
+    the step growing by 1.5 until V > e at its end, or until it passes the
+    end of the scan domain, where V > e too; then a Newton polish."""
     v_of, derivs = compiled(potential), compiled_derivs2(potential)
+    end = scan_domain(potential, e)[(direction + 1) // 2]
     step = max(0.1, 0.1 * abs(x0))
-    a = x0
-    for _ in range(200):
-        b = a + direction * step
+    while True:
+        b = x0 + direction * step
         if v_of(b) > e:
-            lo, hi = (b, a) if direction < 0 else (a, b)
-            x = brentq(lambda t: v_of(t) - e, lo, hi,
-                       xtol=1e-15, rtol=8.9e-16)
-            # Newton polish using V' for |V - E| <= 1e-12 absolute
-            for _ in range(3):
-                v, v1, _ = derivs(x)
-                if v1 == 0:
-                    break
-                x -= (v - e) / v1
-            return float(x)
+            break
+        if direction * (b - end) >= 0:
+            b = end  # the step jumped the barrier the domain stops in
+            break
         step *= 1.5
-    raise OrbitError("failed to bracket a turning point (invalid window?)")
+    lo, hi = (b, x0) if direction < 0 else (x0, b)
+    x = brentq(lambda t: v_of(t) - e, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    # Newton polish using V' for |V - E| <= 1e-12 absolute
+    for _ in range(3):
+        v, v1, _ = derivs(x)
+        if v1 == 0:
+            break
+        x -= (v - e) / v1
+    return float(x)
+
+
+def _turning_points_array(potential, es):
+    """(x_left, x_right) arrays at every energy of the array es: the roots
+    ``turning_points`` finds, from one vectorised solve.  Each root is
+    bracketed on the scalar solver's own outward steps, then refined by
+    Newton steps from the outer end that fall back to bisection whenever a
+    step leaves the bracket or fails to halve; each element stops once its
+    step is within the scalar solve's Brent tolerance.  The two solves agree
+    to a few ulp, not bit for bit: both stop within rounding of the root.
+    An element still open after TP_NEWTON_ITERATIONS steps is handed to the
+    scalar solver."""
+    x0, v0 = well_minimum_array(potential, es)
+    bad = ~(es > v0)    # v0 is NaN where V does not rise above E
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_bottom(float(es[i]),
+                      None if np.isnan(x0[i]) else (x0[i], v0[i]))
+    lo, hi = scan_domain_array(potential, es)
+    v_of, derivs = compiled(potential), compiled_derivs2(potential)
+    # left roots, then right roots
+    e2 = np.concatenate([es, es])
+    x_start = np.concatenate([x0, x0])
+    sign = np.repeat([-1.0, 1.0], len(es))
+    end = np.concatenate([lo, hi])
+
+    # the scalar solve's bracket [x0, outside], V(x0) <= e < V(outside)
+    inside, outside = x_start.copy(), np.empty_like(x_start)
+    step = np.maximum(0.1, 0.1 * np.abs(x_start))
+    todo = np.arange(len(e2))
+    while todo.size:
+        b = x_start[todo] + sign[todo] * step[todo]
+        hit = v_of(b) > e2[todo]
+        past = sign[todo] * (b - end[todo]) >= 0
+        outside[todo] = np.where(hit, b, end[todo])
+        todo = todo[~(hit | past)]
+        step[todo] *= 1.5
+
+    x = outside.copy()   # Newton from outside: monotone where V is convex
+    last = np.abs(outside - inside)
+    todo = np.arange(len(e2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(TP_NEWTON_ITERATIONS):
+            xt, et = x[todo], e2[todo]
+            v, v1, _ = derivs(xt)
+            above = v > et
+            outside[todo] = np.where(above, xt, outside[todo])
+            inside[todo] = np.where(above, inside[todo], xt)
+            newton = xt - (v - et) / v1
+            lo_t = np.minimum(inside[todo], outside[todo])
+            hi_t = np.maximum(inside[todo], outside[todo])
+            tol = 1e-15 + 8.9e-16 * np.abs(xt)   # Brent's, as in the scalar
+            dx = np.abs(newton - xt)
+            halve = ~((newton >= lo_t) & (newton <= hi_t)) \
+                | ((dx > 0.5 * last[todo]) & (dx > tol))
+            nxt = np.where(halve, 0.5 * (lo_t + hi_t), newton)
+            nxt = np.where(v == et, xt, nxt)
+            done = (v == et) | (~halve & (dx <= tol)) | (hi_t - lo_t <= tol)
+            x[todo], last[todo] = nxt, np.abs(nxt - xt)
+            todo = todo[~done]
+            if not todo.size:
+                break
+    for i in todo:
+        x[i] = _bracket_root(potential, e2[i], x_start[i], int(sign[i]))
+    return x[:len(es)], x[len(es):]
 
 
 @dataclass
@@ -206,28 +289,58 @@ def _gl_theta(n):
 
 QUAD_NODES = 32       # first Gauss-Legendre node count, doubled per refinement
 QUAD_REFINEMENTS = 5
+QUAD_CHUNK = 256      # energies per pass of an array quadrature
 _EPS = np.finfo(float).eps
 
 
 def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
     """(S0, [\\oint f dt for f in fs]) at energy e, from one quadrature.
 
+    ``e`` is a number or a 1-D array of energies; for an array every value
+    returned is an array over it.  A number takes its turning points from
+    the memoised ``turning_points``, an array from one vectorised solve,
+    ``_turning_points_array``, and is integrated in passes of QUAD_CHUNK
+    energies, each one 2-D (energies x nodes) Gauss-Legendre sum.
+
     Each ``f(x, xi)`` must accept numpy arrays.  On [x_l, x_r], with
     x = mid - rad cos(theta), S0 = 2 int xi+ rad sin(theta) dtheta and
     \\oint f dt = int (f(x, xi+) + f(x, -xi+)) rad sin(theta) / (2 xi+) dtheta,
-    whose integrands are smooth in theta.  The Gauss-Legendre node count
-    is doubled from QUAD_NODES until two successive values of every
-    integral agree to rel_tol or to within their rounding floor;
-    ConvergenceError after QUAD_REFINEMENTS doublings.  The floor: next to
-    a turning point E - V(x) is rounded to about eps (|E| + |V|), a relative
-    error eps (|E| + |V|) / (2 xi+^2) in xi+ and 1/xi+; weighted by each
-    node's |term|, it grows as the nodes close in on the turning points and,
-    where V' is small there (Morse near dissociation), passes 1e-12.
+    whose integrands are smooth in theta.  For each energy the
+    Gauss-Legendre node count is doubled from QUAD_NODES until two
+    successive values of every integral agree to rel_tol or to within their
+    rounding floor; ConvergenceError after QUAD_REFINEMENTS doublings.  The
+    floor: next to a turning point E - V(x) is rounded to about
+    eps (|E| + |V|), a relative error eps (|E| + |V|) / (2 xi+^2) in xi+ and
+    1/xi+; weighted by each node's |term|, it grows as the nodes close in on
+    the turning points and, where V' is small there (Morse near
+    dissociation), passes 1e-12.
     """
-    xl, xr = turning_points(sym, e)
-    mid, rad = 0.5 * (xl + xr), 0.5 * (xr - xl)
+    if np.ndim(e) == 0:
+        s0, ints = _quadrature(sym, float(e), *turning_points(sym, e), fs,
+                               rel_tol)
+        return float(s0[0]), [float(v[0]) for v in ints]
+    es = np.asarray(e, dtype=float)
+    vals = np.empty((1 + len(fs), len(es)))
+    for i in range(0, len(es), QUAD_CHUNK):
+        part = es[i:i + QUAD_CHUNK]
+        xl, xr = _turning_points_array(sym.potential, part)
+        s0, ints = _quadrature(sym, part, xl, xr, fs, rel_tol)
+        vals[:, i:i + QUAD_CHUNK] = [s0, *ints]
+    return vals[0], list(vals[1:])
+
+
+def _quadrature(sym, es, xl, xr, fs, rel_tol):
+    """``orbit_quadrature`` at the energies es with turning points xl, xr,
+    numbers or 1-D arrays: node doubling and acceptance per energy."""
+    m = np.size(es)
+    # E, mid and rad of the energies still refining, as (m, 1) columns
+    e, mid, rad = es, 0.5 * (xl + xr), 0.5 * (xr - xl)
+    if np.ndim(es):
+        e, mid, rad = e[:, None], mid[:, None], rad[:, None]
 
     def integrals(n):
+        """The integrals on n nodes, (1 + len(fs), m), and the (m, n)
+        arrays behind them ((n,) for one energy as a number)."""
         cos, jac = _gl_theta(n)
         x = mid - rad * cos
         v = sym.v(x)
@@ -237,32 +350,54 @@ def orbit_quadrature(sym, e, fs=(), rel_tol=1e-12):
         dt = rad * jac / (2.0 * np.maximum(xi, 1e-150))
         terms = [(f(x, xi) + f(x, -xi)) * dt for f in fs]
         xi_jac = xi * jac
-        vals = [2.0 * rad * float(np.sum(xi_jac))]
-        vals += [float(np.sum(t)) for t in terms]
-        return np.array(vals), (v, xi_sq, xi_jac, terms)
+        parts = [e, rad, v, xi_sq, xi_jac, *terms]
+        return _row_sums([xi_jac, *terms], rad), parts
 
     def rounding_floor(parts):
-        v, xi_sq, xi_jac, terms = parts
-        rel_err = np.divide(_EPS * (abs(e) + np.abs(v)), 2.0 * xi_sq,
+        e, rad, v, xi_sq, xi_jac, *terms = parts
+        rel_err = np.divide(_EPS * (np.abs(e) + np.abs(v)), 2.0 * xi_sq,
                             out=np.zeros_like(xi_sq), where=xi_sq > 0.0)
-        floors = [2.0 * rad * float(np.sum(xi_jac * rel_err))]
-        floors += [float(np.sum(np.abs(t) * rel_err)) for t in terms]
-        return np.array(floors)
+        return _row_sums([xi_jac * rel_err, *(np.abs(t) * rel_err
+                                              for t in terms)], rad)
 
+    def rows_of(parts, sel):
+        return parts if sel.all() else [p[sel] for p in parts]
+
+    vals = np.empty((1 + len(fs), m))
+    rows = np.arange(m)   # where the energies still refining sit
     n = QUAD_NODES
     prev, prev_parts = integrals(n)
     for _ in range(QUAD_REFINEMENTS):
         n *= 2
         cur, parts = integrals(n)
         diff, tol = np.abs(cur - prev), rel_tol * (1.0 + np.abs(cur))
-        # the floor is formed only for a doubling that misses rel_tol
-        if np.all(diff <= tol) or np.all(
-                diff <= tol + rounding_floor(parts)
-                + rounding_floor(prev_parts)):
-            return float(cur[0]), [float(v) for v in cur[1:]]
+        done = np.all(diff <= tol, axis=0)
+        miss = ~done
+        if miss.any():   # the floor only where a doubling misses rel_tol
+            floor = tol[:, miss] + rounding_floor(rows_of(parts, miss)) \
+                + rounding_floor(rows_of(prev_parts, miss))
+            done[miss] = np.all(diff[:, miss] <= floor, axis=0)
+        if done.all() and len(rows) == m:
+            return cur[0], list(cur[1:])
+        if done.any():
+            vals[:, rows[done]] = cur[:, done]
+            if done.all():
+                return vals[0], list(vals[1:])
+            more = ~done
+            rows, e, mid, rad = rows[more], e[more], mid[more], rad[more]
+            cur, parts = cur[:, more], [p[more] for p in parts]
         prev, prev_parts = cur, parts
     raise ConvergenceError("orbit quadrature did not converge "
-                           f"after {QUAD_REFINEMENTS} refinements at E = {e}")
+                           f"after {QUAD_REFINEMENTS} refinements "
+                           f"at E = {np.ravel(es)[rows[0]]}")
+
+
+def _row_sums(arrays, rad):
+    """(len(arrays), m): each array summed over its nodes, the first one
+    (of xi+ dtheta) times 2 rad, for S0."""
+    sums = np.add.reduce(arrays, axis=-1).reshape(len(arrays), -1)
+    sums[0] *= 2.0 * np.ravel(rad)
+    return sums
 
 
 class FocalFrame:

@@ -10,7 +10,11 @@ with the Maslov contribution of the two focal points folded into the
 half-integer offset; S2 is ``actions.s2_value`` at ``S2_SIGN``, the same
 value as ``ActionSeries.s2``.  S0 and the orbit integrals come from
 ``orbit.orbit_quadrature`` (through ``actions.action_series`` at order 2);
-no ODE orbit is traced here.  The Gram determinant is the closed form
+no ODE orbit is traced here.  Every energy grid (the ``gram_scan`` sweep,
+the S0 table that brackets each level and the dense-scan fallback) is
+evaluated as one energy array; single energies (Brent's root refinement,
+the level fixed point, the refinement of a Gram zero) take the scalar path
+and its memoised turning points.  The Gram determinant is the closed form
 -cos^2(action_diff/(2h) + pi/2) whose zero set coincides with the level set
 of the condition above.
 """
@@ -77,7 +81,12 @@ def resolve_eta(eta, window):
 
 
 class _SeriesEvaluator:
-    """Truncated action series S_eff(E) at one order."""
+    """Truncated action series S_eff(E) at one order.
+
+    Every method takes a number or a 1-D array of energies.  An array is
+    evaluated by array quadratures (``orbit.orbit_quadrature``), so a grid
+    of energies costs O(1) calls rather than one per energy; a number keeps
+    the memoised scalar turning points, which are cheaper for one energy."""
 
     def __init__(self, sym, h, order, eta, quad_tol=1e-12, s2_sign=None):
         self.sym = sym
@@ -115,7 +124,7 @@ class _SeriesEvaluator:
 
 def _monotone_s0_grid(ev, e_min, e_max):
     es = np.linspace(e_min, e_max, S0_GRID_POINTS)
-    vals = np.array([ev.s0(e) for e in es])
+    vals = ev.s0(es)
     if not np.all(np.diff(vals) > 0):
         raise QuantizeError(
             "S0 is not increasing on the window; the well hypotheses fail")
@@ -168,7 +177,7 @@ def _solve_level(ev, e, es, vals, target, root_tol):
 def _dense_scan_roots(ev, e_min, e_max, target, root_tol):
     """Fallback when S_eff is non-monotone: locate every sign change."""
     es = np.linspace(e_min, e_max, DENSE_SCAN_POINTS)
-    g = np.array([ev.value(e) - target for e in es])
+    g = ev.value(es) - target
     roots = []
     for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
         roots.append(brentq(lambda e: ev.value(e) - target, es[i], es[i + 1],
@@ -251,15 +260,22 @@ def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None,
     action_diff is the difference of the two generalized branch actions,
     which equals S_eff(E) minus the pi h contributed by the focal-point
     prefactors; with maslov_phase = pi/2 the determinant reduces to
-    -cos^2(S_eff/(2h)).
+    -cos^2(S_eff/(2h)).  At order 2 the S2 stencil's E-step ``eta`` must
+    be given (``resolve_eta`` is the default for a window), unless
+    ``_evaluator`` carries it.
     """
     ev = _evaluator
     if ev is None:
-        if eta is None:
-            eta = 0.02 * max(abs(e), 1.0)
+        if order == 2 and eta is None:
+            raise QuantizeError("gram_det at order 2 needs eta "
+                                "(see resolve_eta)")
         ev = _SeriesEvaluator(sym, h, order, eta, quad_tol=quad_tol,
                               s2_sign=s2_sign)
-    s_eff = ev.value(e)
+    return _gram_eval(e, h, ev.value(e))
+
+
+def _gram_eval(e, h, s_eff):
+    """The GramEval at energy e from S_eff(e)."""
     action_diff = s_eff - math.pi * h
     det = -math.cos(0.5 * action_diff / h + MASLOV_PHASE) ** 2
     return GramEval(e=e, h=h, action_diff=action_diff,
@@ -279,7 +295,7 @@ def gram_scan(sym, window, h, steps=200, order=2, eta=None, quad_tol=1e-12,
                           quad_tol=quad_tol, s2_sign=s2_sign)
 
     es = np.linspace(window.e_min, window.e_max, steps)
-    evals = [gram_det(sym, e, h, order, _evaluator=ev) for e in es]
+    evals = [_gram_eval(e, h, s) for e, s in zip(es, ev.value(es))]
     mags = np.array([abs(g.det) for g in evals])
 
     zeros = []

@@ -6,12 +6,18 @@ separately so that turning-point and oracle machinery can work on V
 directly.
 
 The one search for the bottom of a well is ``well_minimum``: the scan
-domain of ``_scan_domain``, a 2001-point grid and a bounded Brent step,
-memoised on (V, domain) so that every layer shares it.
+domain of ``scan_domain``, a 2001-point grid and a bounded Brent step,
+memoised on (V, domain) so that every layer shares it.  The scan domain
+widens [-1, 1] by doubling until V exceeds E on each side, stopping at the
+top of a barrier it would jump; the ends it tries do not depend on E, so
+they are found once per (V, side) and shared by every energy, and
+``scan_domain_array`` gives the domains of a whole energy array at once.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -117,30 +123,89 @@ class WellReport:
 
 
 SIMPLE_TP_TOL = 1e-8
-SCAN_MAX_DOUBLINGS = 60     # doublings of [-1, 1] before a scan gives up
+MINIMUM_CACHE_SIZE = 64     # distinct (V, domain) minima and (V, side) scans
+SCAN_MAX_DOUBLINGS = 39     # the farthest scan end tried is +-2^39 (5.5e11)
 WELL_GRID_POINTS = 4001     # validate_well's grid on the scan domain
 WELL_ENERGY_SAMPLES = 9     # energies in the window validate_well checks
 
 
-def _scan_domain(potential, e_max):
-    """Expand [-1, 1] until V exceeds e_max on both sides, or give up (None)
-    for potentials with a finite asymptote below the window."""
-    lo, hi, v = -1.0, 1.0, compiled(potential)
-    for _ in range(SCAN_MAX_DOUBLINGS):
-        ok_lo = v(lo) > e_max
-        ok_hi = v(hi) > e_max
-        if ok_lo and ok_hi:
-            return lo, hi
-        if not ok_lo:
-            lo *= 2.0
-        if not ok_hi:
-            hi *= 2.0
-        if abs(lo) > 1e12 or hi > 1e12:
-            break
-    return None
+class _OutwardScan:
+    """The ends the scan domain may take on one side of 0, in the order
+    the scan tries them: +-1, +-2, +-4, ... +-2^SCAN_MAX_DOUBLINGS.  Where V
+    rises to one of them, 2^k, and falls at the next, the top of the barrier
+    between 2^(k-1) and 2^(k+1) is tried right after 2^k, so that the scan
+    stops inside a barrier it would otherwise jump.  The domain for energy
+    E ends at the first of them with V > E.  None of this depends on E, so
+    the list is extended only as far as the energies asked for need it."""
+
+    def __init__(self, potential, sign):
+        self.v = compiled(potential)
+        self.sign = sign
+        self.ends = []      # the ends tried, in order
+        self.tops = []      # running maximum of V over them, NaN as -inf
+        self.powers = []    # (x, V) at +-2^k, k = 0, 1, ...
+
+    def _extend(self):
+        """Try the next doubling; False once they are used up."""
+        k = len(self.powers)
+        if k > SCAN_MAX_DOUBLINGS:
+            return False
+        x = self.sign * 2.0 ** k
+        v = float(self.v(x))
+        if k >= 2:
+            (x_in, v_in), (_, v_mid) = self.powers[-2:]
+            if v_in < v_mid and v < v_mid:
+                lo, hi = sorted((x_in, x))
+                res = minimize_scalar(lambda t: -self.v(t), bounds=(lo, hi),
+                                      method="bounded",
+                                      options={"xatol": 1e-8 * (hi - lo)})
+                if -res.fun > v_mid:
+                    self._add(float(res.x), float(-res.fun))
+        self.powers.append((x, v))
+        self._add(x, v)
+        return True
+
+    def _add(self, x, v):
+        top = -math.inf if math.isnan(v) else v
+        self.ends.append(x)
+        self.tops.append(max(self.tops[-1], top) if self.tops else top)
+
+    def end(self, e):
+        """The domain end for energy e, or None."""
+        while not (self.tops and self.tops[-1] > e) and self._extend():
+            pass
+        i = bisect.bisect_right(self.tops, e)
+        return self.ends[i] if i < len(self.ends) else None
+
+    def end_array(self, es):
+        """The domain ends for the energies es, NaN where there is none."""
+        self.end(np.max(es))
+        i = np.searchsorted(np.array(self.tops), es, side="right")
+        ends = np.append(self.ends, np.nan)
+        return ends[i]
 
 
-MINIMUM_CACHE_SIZE = 64   # distinct (V, scan domain) pairs remembered
+@lru_cache(maxsize=MINIMUM_CACHE_SIZE)
+def _outward_scan(potential, sign):
+    return _OutwardScan(potential, sign)
+
+
+def scan_domain(potential, e):
+    """(lo, hi): the scan domain of energy e, [-1, 1] widened on each side
+    to the first end of ``_OutwardScan`` with V > e; None if a side has no
+    such end (a potential with a finite asymptote below e)."""
+    lo = _outward_scan(potential, -1.0).end(e)
+    hi = _outward_scan(potential, 1.0).end(e)
+    return None if lo is None or hi is None else (lo, hi)
+
+
+def scan_domain_array(potential, es):
+    """(lo, hi) arrays: ``scan_domain`` at every energy of es, NaN in both
+    where it is None."""
+    lo = _outward_scan(potential, -1.0).end_array(es)
+    hi = _outward_scan(potential, 1.0).end_array(es)
+    none = np.isnan(lo) | np.isnan(hi)
+    return np.where(none, np.nan, lo), np.where(none, np.nan, hi)
 
 
 @lru_cache(maxsize=MINIMUM_CACHE_SIZE)
@@ -162,8 +227,20 @@ def _grid_minimum(potential, lo, hi):
 def well_minimum(potential, e):
     """(x0, V(x0)) for the potential expression V, searched on the scan
     domain of energy e; None when V does not rise above e on both sides."""
-    dom = _scan_domain(potential, e)
+    dom = scan_domain(potential, e)
     return None if dom is None else _grid_minimum(potential, *dom)
+
+
+def well_minimum_array(potential, es):
+    """(x0, V(x0)) arrays: ``well_minimum`` at every energy of es, NaN
+    where it is None; one grid search per distinct scan domain."""
+    lo, hi = scan_domain_array(potential, es)
+    x0, v0 = np.full_like(lo, np.nan), np.full_like(lo, np.nan)
+    for dom in set(zip(lo.tolist(), hi.tolist())):
+        if not math.isnan(dom[0]):
+            at = (lo == dom[0]) & (hi == dom[1])
+            x0[at], v0[at] = _grid_minimum(potential, *dom)
+    return x0, v0
 
 
 def validate_well(sym, window):
@@ -175,7 +252,7 @@ def validate_well(sym, window):
     """
     report = WellReport(ok=True)
 
-    dom = _scan_domain(sym.potential, window.e_max)
+    dom = scan_domain(sym.potential, window.e_max)
     if dom is None:
         report.ok = False
         report.failures.append(

@@ -256,14 +256,20 @@ def test_gram_scan_compiles_each_expression_once(tmp_path, capsys,
     for memo in (exprjet.compiled, exprjet.compiled_derivs2,
                  orbit._turning_points, symbols._grid_minimum):
         memo.cache_clear()
-    solves = []
+    solves = []   # (E, side) of every turning point solved, by either path
     bracket_root = orbit._bracket_root
+    solve_array = orbit._turning_points_array
 
     def counted(potential, e, x0, direction):
-        solves.append(e)
+        solves.append((e, direction))
         return bracket_root(potential, e, x0, direction)
 
+    def counted_array(potential, es):
+        solves.extend((e, side) for e in es for side in (-1, 1))
+        return solve_array(potential, es)
+
     monkeypatch.setattr(orbit, "_bracket_root", counted)
+    monkeypatch.setattr(orbit, "_turning_points_array", counted_array)
     text = BASE_CONFIG.replace('potential = "x^2"',
                                'potential = "x^2 + 0.3*x^4"\np1 = "0.1*x"') \
                       .replace("order = 0", "order = 1")
@@ -271,7 +277,7 @@ def test_gram_scan_compiles_each_expression_once(tmp_path, capsys,
     capsys.readouterr()
     sym = parse_config(text).symbol()
     distinct = len({sym.p0, sym.p1, sym.p2, sym.potential})
-    assert len(solves) > 100  # one pair of solves per energy the scan visits
+    assert len(solves) > 100  # two per energy the scan visits
     assert 0 < exprjet.compiled.cache_info().misses <= distinct
     assert 0 < exprjet.compiled_derivs2.cache_info().misses <= distinct
 

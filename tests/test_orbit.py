@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from semibs import orbit
 from semibs.actions import gamma_integral
 from semibs.exprjet import evaluate
-from semibs.orbit import (ConvergenceError, FocalFrame, action_s0,
-                          orbit_integral, orbit_quadrature, trace_orbit,
-                          turning_points)
+from semibs.orbit import (ConvergenceError, FocalFrame, OrbitError,
+                          action_s0, orbit_integral, orbit_quadrature,
+                          trace_orbit, turning_points)
 from semibs.symbols import builtin, from_potential
 
 
@@ -46,6 +47,72 @@ def test_turning_points_when_grid_neighbours_tie():
     assert sym.v(xl) == pytest.approx(0.5, abs=1e-11)
     assert sym.v(xr) == pytest.approx(0.5, abs=1e-11)
     assert xl < -0.0075 < xr
+
+
+@pytest.mark.parametrize("e", [12.9, 14.0, 14.5])
+def test_turning_points_stop_inside_a_barrier(e):
+    # V = x^2 + 0.1 x^3 has a barrier of 14.8 at x = -20/3; doubling the
+    # scan domain from -8 (V = 12.8) to -16 (V < 0) would jump it
+    sym = from_potential("x^2 + 0.1*x^3")
+    for xl, xr in (turning_points(sym, e),
+                   [float(t[0]) for t in
+                    orbit._turning_points_array(sym.potential,
+                                                np.array([e]))]):
+        assert sym.v(xl) == pytest.approx(e, abs=1e-12)
+        assert sym.v(xr) == pytest.approx(e, abs=1e-12)
+        assert -20.0 / 3.0 < xl < 0.0 < xr
+
+
+def _ulps(a, b):
+    return np.max(np.abs(a - b) / np.spacing(np.abs(b)))
+
+
+@pytest.mark.parametrize("name, params", ALL_WELLS)
+def test_array_turning_points_and_s0_match_scalar_calls(name, params):
+    sym = builtin(name, params)
+    es = np.linspace(0.3, 1.2, 37)
+    one = [lambda x, xi: np.ones_like(x)]
+    xl, xr = orbit._turning_points_array(sym.potential, es)
+    s0, (period,) = orbit_quadrature(sym, es, one)
+    ref_tp = np.array([turning_points(sym, e) for e in es])
+    ref = [orbit_quadrature(sym, e, one) for e in es]
+    assert _ulps(xl, ref_tp[:, 0]) <= 4 and _ulps(xr, ref_tp[:, 1]) <= 4
+    assert _ulps(s0, np.array([r[0] for r in ref])) <= 4
+    # 1/xi+ next to a turning point: an ulp there moves oint dt by ~1e-13
+    np.testing.assert_allclose(period, [r[1][0] for r in ref], rtol=2e-12)
+
+
+def test_array_quadrature_refuses_what_a_scalar_call_refuses():
+    harmonic = builtin("harmonic")
+    for es in ([0.5, 0.0, 0.7], [0.5, -1.0]):
+        with pytest.raises(OrbitError, match="at or below the well bottom"):
+            orbit_quadrature(harmonic, np.array(es))
+    cubic = from_potential("x^2 + 0.1*x^3")   # barrier 14.8
+    with pytest.raises(OrbitError, match="does not rise above E = 15.0"):
+        orbit_quadrature(cubic, np.array([1.0, 15.0]))
+    with pytest.raises(ConvergenceError):
+        orbit_quadrature(from_potential("sqrt(x^2)"), np.array([0.4, 0.5]))
+
+
+def test_array_turning_points_hand_open_roots_to_the_scalar_solver(
+        monkeypatch):
+    sym = builtin("anharmonic", {"lam": 0.3})
+    es = np.linspace(0.2, 1.0, 9)
+    monkeypatch.setattr(orbit, "TP_NEWTON_ITERATIONS", 1)
+    xl, xr = orbit._turning_points_array(sym.potential, es)
+    assert np.array_equal(np.column_stack([xl, xr]),
+                          [turning_points(sym, e) for e in es])
+
+
+def test_array_quadrature_is_the_same_in_chunks(monkeypatch):
+    sym = builtin("morse", {"D": 3.0, "a": 0.5, "p1": "0.2*x"})
+    fs = [lambda x, xi: evaluate(sym.p1, x, xi) + 0.0 * x]
+    es = np.linspace(0.1, 2.9, 40)
+    whole = orbit_quadrature(sym, es, fs)
+    monkeypatch.setattr(orbit, "QUAD_CHUNK", 7)
+    chunked = orbit_quadrature(sym, es, fs)
+    assert np.array_equal(whole[0], chunked[0])
+    assert np.array_equal(whole[1], chunked[1])
 
 
 def test_quadrature_matches_ode_reference():

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from semibs import orbit, quantize
+from semibs import actions, orbit, quantize
 from semibs.oracle import oracle_spectrum
-from semibs.quantize import (QuantizeError, attach_oracle, bs_solve,
-                             convergence_fit, gram_det, gram_scan)
+from semibs.quantize import (QuantizeError, _SeriesEvaluator, attach_oracle,
+                             bs_solve, convergence_fit, gram_det, gram_scan,
+                             resolve_eta)
 from semibs.symbols import EnergyWindow, builtin
 
 
@@ -140,9 +141,69 @@ def test_gram_det_zero_at_levels_and_minus_one_between(harmonic):
 def test_gram_det_vanishes_at_order2_roots(quartic, window):
     h = 0.05
     table = bs_solve(quartic, h, window, order=2)
+    eta = resolve_eta(None, window)
     for e in table.energies(2)[::3]:
-        g = gram_det(quartic, e, h, order=2)
+        g = gram_det(quartic, e, h, order=2, eta=eta)
         assert abs(g.det) <= 1e-8
+
+
+def test_gram_det_at_order2_needs_eta(quartic):
+    with pytest.raises(QuantizeError, match="needs eta"):
+        gram_det(quartic, 0.5, 0.05, order=2)
+    assert gram_det(quartic, 0.5, 0.05, order=1).det <= 0.0
+
+
+WELLS = [("harmonic", {}), ("quartic", {}), ("anharmonic", {"lam": 0.3}),
+         ("morse", {"D": 3.0, "a": 0.5})]
+
+
+@pytest.mark.parametrize("name, params", WELLS)
+@pytest.mark.parametrize("p1", ["0", "0.2*x"])
+def test_series_arrays_match_scalar_calls(name, params, p1, window):
+    """An energy array gives what one call per energy gives: S0 to 4 ulp;
+    the terms beyond S0 to the rounding floor of their orbit integrals,
+    about 1e-12 relative, which the S2 stencil divides by eta."""
+    sym = builtin(name, {**params, "p1": p1})
+    es = np.linspace(window.e_min, window.e_max, 17)
+    for order in (0, 1, 2):
+        ev = _SeriesEvaluator(sym, 0.1, order, resolve_eta(None, window))
+        s0, rest = ev.split(es)
+        ref = np.array([ev.split(e) for e in es])
+        assert np.max(np.abs(s0 - ref[:, 0])
+                      / np.spacing(ref[:, 0])) <= 4, order
+        assert np.all(np.abs(rest - ref[:, 1])
+                      <= 1e-12 * (1.0 + np.abs(ref[:, 1]))), order
+        np.testing.assert_allclose(ev.value(es), ref.sum(axis=1),
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_gram_scan_evaluates_its_grid_in_array_calls(monkeypatch, window,
+                                                     order):
+    # energies per call, 0 for a number: of S_eff, and of the quadrature
+    series, quads = [], []
+    split, quadrature = _SeriesEvaluator.split, orbit.orbit_quadrature
+
+    def counted_split(ev, e):
+        series.append(np.size(e) if np.ndim(e) else 0)
+        return split(ev, e)
+
+    def counted_quadrature(sym, e, *args, **kwargs):
+        quads.append(np.size(e) if np.ndim(e) else 0)
+        return quadrature(sym, e, *args, **kwargs)
+
+    monkeypatch.setattr(_SeriesEvaluator, "split", counted_split)
+    for module in (quantize, actions):
+        monkeypatch.setattr(module, "orbit_quadrature", counted_quadrature)
+    sym = builtin("anharmonic", {"lam": 0.3, "p1": "0.2*x"})
+    evals, zeros = gram_scan(sym, window, 0.1, steps=200, order=order)
+    assert len(evals) == 200 and zeros
+    # the grid in one call of S_eff, and of the quadrature (at order 2 a
+    # second one for all the S2 stencil energies); numbers only for the
+    # zero refinement, about 20 per zero
+    assert [n for n in series if n] == [200]
+    assert [n for n in quads if n] == [200] + [1200] * (order == 2)
+    assert 0 < series.count(0) < 100
 
 
 def test_gram_scan_zeros_match_bs_roots(harmonic, window):

@@ -123,3 +123,30 @@ def test_one_minimum_search_per_well():
     assert (info.misses, info.hits) == (1, 2)
     assert symbols.well_minimum(sym.potential, window.e_max) == \
         (report.x0, report.v_min)
+
+
+def test_scan_domain_stops_inside_a_barrier():
+    # x^2 + 0.1 x^3: V(-4) = 9.6 < V(-8) = 12.8 > V(-16), so the top of the
+    # barrier between -4 and -16, V(-20/3) = 14.8, is tried after -8
+    v = from_potential("x^2 + 0.1*x^3").potential
+    assert symbols.scan_domain(v, 12.5) == (-8.0, 4.0)
+    lo, hi = symbols.scan_domain(v, 14.5)
+    assert lo == pytest.approx(-20.0 / 3.0, abs=1e-6) and hi == 4.0
+    assert symbols.scan_domain(v, 15.0) is None
+    assert symbols.scan_domain(from_potential("x^2").potential, 1.0) \
+        == (-2.0, 2.0)
+
+
+def test_scan_domain_array_matches_scalar_calls():
+    es = np.array([0.5, 2.9, 12.5, 12.9, 14.5, 15.0, 40.0])
+    for text in ("x^2 + 0.1*x^3", "3*(1 - exp(-0.5*x))^2", "x^4"):
+        v = from_potential(text).potential
+        lo, hi = symbols.scan_domain_array(v, es)
+        x0, v0 = symbols.well_minimum_array(v, es)
+        for i, e in enumerate(es):
+            dom = symbols.scan_domain(v, e)
+            bottom = symbols.well_minimum(v, e)
+            if dom is None:
+                assert np.isnan([lo[i], hi[i], x0[i], v0[i]]).all()
+            else:
+                assert (lo[i], hi[i]) == dom and (x0[i], v0[i]) == bottom
