@@ -19,7 +19,8 @@ import numpy as np
 from . import wronlab
 from .exprjet import (ExprDomainError, ExprSyntaxError, is_zero_expr,
                       variables)
-from .oracle import OracleConfig, OracleError, oracle_spectrum
+from .oracle import (ConfinementError, OracleConfig, OracleError,
+                     oracle_spectrum)
 from .orbit import ConvergenceError, OrbitError, turning_points
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
                        convergence_fit, gram_scan, resolve_eta)
@@ -206,7 +207,10 @@ def cmd_spectrum(cfg, out):
     h = cfg.hbar[0]
     table = bs_solve(sym, h, cfg.window, order=cfg.order, eta=cfg.eta,
                      quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
-    levels = _oracle_levels(cfg, sym, h)
+    try:
+        levels = _oracle_levels(cfg, sym, h)
+    except ConfinementError:  # no oracle operator: the columns stay blank
+        levels = None
     if levels is not None:
         attach_oracle(table, levels)
     out.write("n,E_bs0,E_bs1,E_bs2,E_oracle,err0,err2\n")

@@ -7,8 +7,8 @@ numeric values at parse time, so a parsed tree only ever contains numbers,
 the two variables, operators and function calls.
 
 Values come from a tree compiled once into nested closures (``compiled``,
-``compiled_derivs2``, memoised per tree; a lookup hashes the whole tree, so
-a loop fetches the callable once).  The closures make a recursive walk's
+``compiled_derivs2``, memoised per tree; a node stores its hash, so a
+lookup costs one dictionary probe).  The closures make a recursive walk's
 numpy operations in its order, so values are bit-identical to such a walk.
 
 Differentiation is forward-mode on bivariate Taylor jets truncated at
@@ -20,7 +20,7 @@ algebra; no finite differences are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union
 
@@ -74,44 +74,65 @@ class JetDivisionError(ExprError):
 # AST
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """A tree node hashes once, at construction, from its fields and its
+    children's stored hashes: the memos keyed on a tree hash it on every
+    lookup, and a derived hash would walk the whole tree each time.
+    Equality is the dataclass's field-wise test.  Each node class names
+    ``__hash__`` in its body, or the frozen dataclass would replace it
+    with a field-wise one."""
+
+    def __post_init__(self):
+        key = (type(self),) + tuple(getattr(self, f.name) for f in fields(self))
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
+    __hash__ = _Node.__hash__
 
     def __str__(self):
         return repr(self.value)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str  # "x" or "xi"
+    __hash__ = _Node.__hash__
 
     def __str__(self):
         return self.name
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # + - * / ^
     left: "Expr"
     right: "Expr"
+    __hash__ = _Node.__hash__
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
+    __hash__ = _Node.__hash__
 
     def __str__(self):
         return f"(-{self.arg})"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expr"
+    __hash__ = _Node.__hash__
 
     def __str__(self):
         return f"{self.func}({self.arg})"

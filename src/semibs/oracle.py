@@ -12,7 +12,8 @@ Richardson step) until two grids agree.
 
 The Dirichlet interval is built outward from the well minimum that
 ``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or
-``quantize``.  The sweeps are plain Python loops over Python floats.
+``quantize``.  Each Numerov sweep is one banded triangular solve in BLAS;
+a sweep that overflows there runs again as a Python loop that rescales.
 """
 
 from __future__ import annotations
@@ -22,17 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
 from .symbols import well_minimum
 
-# The sweeps are plain Python; nothing is compiled.  Kept because the
+# The sweeps run in BLAS through scipy, not in numba.  Kept because the
 # benchmark reports the backend from this flag.
 _HAVE_NUMBA = False
 
 
 class OracleError(Exception):
     pass
+
+
+class ConfinementError(OracleError):
+    """No Dirichlet interval confines the window: V never rises above e_max
+    on one side, or falls back below it behind a barrier lower than the
+    padded target."""
 
 
 BASE_N = 2000              # points of the first grid
@@ -47,6 +55,35 @@ class OracleConfig:
     shoot_tol: float = 1e-12
 
 
+def _sweep(f):
+    """Numerov sweep y_1 .. y_{m} from y_0 = 0, y_1 = 1e-10, for f = 1 + k of
+    length m + 1, as one banded forward substitution (BLAS dtbsv).
+
+    The recurrence f_{i+1} y_{i+1} - (12 - 10 f_i) y_i + f_{i-1} y_{i-1} = 0
+    is a lower-triangular system of bandwidth 2 in y_1 .. y_m; row 0 pins
+    y_1.  Nothing rescales the run, so a value may overflow: callers check
+    that the result is finite.
+    """
+    m = f.size - 1
+    ab = np.empty((3, m), order="F")   # lower band storage, by column
+    ab[0, 0] = 1.0
+    ab[0, 1:] = f[2:]
+    ab[1] = 10.0 * f[1:] - 12.0
+    ab[2] = f[1:]
+    y = np.zeros(m)
+    y[0] = 1e-10
+    return dtbsv(2, ab, y, lower=1)
+
+
+def _wronskian(yl, yl_next, yr, yr_next):
+    """Wronskian of the two shots, each scaled to unit length."""
+    norm_l = math.hypot(yl, yl_next)
+    norm_r = math.hypot(yr, yr_next)
+    if norm_l == 0.0 or norm_r == 0.0:
+        return 1e300
+    return (yl * yr_next - yl_next * yr) / (norm_l * norm_r)
+
+
 def _shoot(k, i_match):
     """Two-sided Numerov propagation; returns the matching defect.
 
@@ -56,15 +93,45 @@ def _shoot(k, i_match):
     zero exactly at an eigenvalue and continuous in E: unlike a jump of
     the log-derivative it has no pole where a shot has a node at the
     match point (odd levels of a symmetric well on an odd-sized grid).
+    The match point, V's minimum, lies inside: 1 <= i_match <= n - 3.
     """
-    n = len(k)
+    f = 1.0 + np.asarray(k, dtype=float)
+    left = _sweep(f[:i_match + 2])         # y_1 .. y_{i_match+1}
+    right = _sweep(f[i_match:][::-1])      # y_{n-2} down to y_{i_match}
+    if not (np.isfinite(left[-1]) and np.isfinite(right[-1])):
+        return _shoot_loop(f.tolist(), i_match)
+    return _wronskian(float(left[-2]), float(left[-1]),
+                      float(right[-1]), float(right[-2]))
+
+
+def _count_nodes(k):
+    """Sign changes of the full left-to-right Numerov sweep.
+
+    By Sturm oscillation this equals the number of Dirichlet eigenvalues
+    strictly below E, which makes it an exact bracketing count.  A change
+    is strict: a zero neither counts nor carries a sign.
+    """
+    f = 1.0 + np.asarray(k, dtype=float)
+    y = _sweep(f)                          # y_1 .. y_{n-1}
+    if not np.isfinite(y[-1]):             # a non-finite value persists
+        return _count_nodes_loop(f.tolist())
+    pos, neg = y > 0.0, y < 0.0
+    return int(np.count_nonzero(pos[:-1] & neg[1:])
+               + np.count_nonzero(neg[:-1] & pos[1:]))
+
+
+# The same sweeps as Python loops that rescale at 1e200: the fallback for a
+# banded run that overflows, and the reference the tests hold it to.
+
+def _shoot_loop(f, i_match):
+    """`_shoot` on f = 1 + k as a list."""
+    n = len(f)
 
     # forward sweep: after iteration i, y_cur = y_{i+1}, y_prev = y_i;
     # runs i = 1 .. i_match so the sweep ends holding y_{i_match+1}.
     y_prev, y_cur = 0.0, 1e-10
     for i in range(1, i_match + 1):
-        y_new = ((12.0 - 10.0 * (1.0 + k[i])) * y_cur
-                 - (1.0 + k[i - 1]) * y_prev) / (1.0 + k[i + 1])
+        y_new = ((12.0 - 10.0 * f[i]) * y_cur - f[i - 1] * y_prev) / f[i + 1]
         y_prev, y_cur = y_cur, y_new
         if abs(y_cur) > 1e200:
             y_prev *= 1e-200
@@ -75,33 +142,20 @@ def _shoot(k, i_match):
     # runs i = n-2 .. i_match+1 so the sweep ends holding y_{i_match}.
     y_prev, y_cur = 0.0, 1e-10
     for i in range(n - 2, i_match, -1):
-        y_new = ((12.0 - 10.0 * (1.0 + k[i])) * y_cur
-                 - (1.0 + k[i + 1]) * y_prev) / (1.0 + k[i - 1])
+        y_new = ((12.0 - 10.0 * f[i]) * y_cur - f[i + 1] * y_prev) / f[i - 1]
         y_prev, y_cur = y_cur, y_new
         if abs(y_cur) > 1e200:
             y_prev *= 1e-200
             y_cur *= 1e-200
-    yr, yr_next = y_cur, y_prev
-
-    norm_l = math.hypot(yl, yl_next)
-    norm_r = math.hypot(yr, yr_next)
-    if norm_l == 0.0 or norm_r == 0.0:
-        return 1e300
-    return (yl * yr_next - yl_next * yr) / (norm_l * norm_r)
+    return _wronskian(yl, yl_next, y_cur, y_prev)
 
 
-def _count_nodes(k):
-    """Sign changes of the full left-to-right Numerov sweep.
-
-    By Sturm oscillation this equals the number of Dirichlet eigenvalues
-    strictly below E, which makes it an exact bracketing count.
-    """
-    n = len(k)
+def _count_nodes_loop(f):
+    """`_count_nodes` on f = 1 + k as a list."""
     nodes = 0
     y_prev, y_cur = 0.0, 1e-10
-    for i in range(1, n - 1):
-        y_new = ((12.0 - 10.0 * (1.0 + k[i])) * y_cur
-                 - (1.0 + k[i - 1]) * y_prev) / (1.0 + k[i + 1])
+    for i in range(1, len(f) - 1):
+        y_new = ((12.0 - 10.0 * f[i]) * y_cur - f[i - 1] * y_prev) / f[i + 1]
         if (y_new > 0.0 and y_cur < 0.0) or (y_new < 0.0 and y_cur > 0.0):
             nodes += 1
         y_prev, y_cur = y_cur, y_new
@@ -113,14 +167,27 @@ def _count_nodes(k):
 
 def _domain(sym, h, window, cfg):
     """Dirichlet interval: extend past the E_max turning points until
-    V >= E_max + pad, then scale out by halfwidth_factor."""
+    V >= E_max + pad, then scale out by halfwidth_factor.
+
+    A wall never passes a barrier: V between the point that confines the
+    window and the wall stays at or above the confining level.  When V
+    rises above E_max and falls back below it before reaching E_max + pad,
+    the window is not confined and ConfinementError is raised."""
     bottom = well_minimum(sym.potential, window.e_max)
     if bottom is None:
-        raise OracleError("cannot confine the window: V never exceeds e_max")
+        raise ConfinementError(
+            "cannot confine the window: V never exceeds e_max")
     x0 = bottom[0]
     _, _, v2 = sym.v_derivs(x0)
     pad = 10.0 * h * np.sqrt(max(float(v2), 0.0))
-    target = window.e_max + pad
+    target = float(window.e_max + pad)
+    f = cfg.halfwidth_factor
+
+    def inside(x_conf, wall, level):
+        # the wall stops before V first falls below level past x_conf
+        xs = np.linspace(x_conf, wall, 1001)
+        below = np.flatnonzero(np.asarray(sym.v(xs) + 0.0 * xs) < level)
+        return wall if below.size == 0 else float(xs[max(below[0] - 1, 0)])
 
     def extend(direction):
         step = 0.25
@@ -130,20 +197,23 @@ def _domain(sym, h, window, cfg):
             vx = sym.v(x)
             if x_conf is None and vx >= window.e_max:
                 x_conf = x
+            elif x_conf is not None and vx < window.e_max:
+                raise ConfinementError(
+                    f"cannot confine the window: V falls back below e_max at"
+                    f" x = {x!r} before reaching e_max + pad = {target!r}")
             if vx >= target:
-                return x
+                return inside(x, x0 + f * (x - x0), target)
             x += direction * step
             step *= 1.2
         if x_conf is not None:
             # padded target unreachable (V has a finite asymptote); push the
             # wall three confinement widths out so tunneling stays negligible
-            return x0 + 3.0 * (x_conf - x0)
-        raise OracleError(
+            wall = x0 + 3.0 * (x_conf - x0)
+            return inside(x_conf, x0 + f * (wall - x0), window.e_max)
+        raise ConfinementError(
             "cannot confine the window: V never exceeds e_max")
 
-    xl, xr = extend(-1), extend(+1)
-    f = cfg.halfwidth_factor
-    return x0 + f * (xl - x0), x0 + f * (xr - x0)
+    return extend(-1), extend(+1)
 
 
 def _fd_bracket(v_grid, dx, h, e_lo, e_hi, n_target, nodes):
@@ -192,10 +262,10 @@ def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol):
     pref = dx * dx / (12.0 * h * h)
 
     def defect(e):
-        return _shoot((pref * (e - v_grid)).tolist(), i_match)
+        return _shoot(pref * (e - v_grid), i_match)
 
     def nodes(e):
-        return _count_nodes((pref * (e - v_grid)).tolist())
+        return _count_nodes(pref * (e - v_grid))
 
     bracket = _fd_bracket(v_grid, dx, h, e_lo, e_hi, n_target, nodes)
     if bracket is None:
@@ -269,7 +339,7 @@ def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
     # twice the error above it.
     err_lo = _base_grid_error(window.e_min - v_floor, dx, h)
     err_hi = _base_grid_error(window.e_max - v_floor, dx, h)
-    n_min, n_max = (_count_nodes((pref * (e - v0)).tolist())
+    n_min, n_max = (_count_nodes(pref * (e - v0))
                     for e in (window.e_min - err_lo, window.e_max + err_hi))
     n_max = min(n_max, n_min + MAX_LEVELS)
 

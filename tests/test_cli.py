@@ -211,6 +211,29 @@ def test_oracle_columns_blank_without_an_oracle(tmp_path, capsys):
         assert all(r[4:] == ["", "", ""] for r in rows)
 
 
+BARRIER_CONFIG = """\
+[problem]
+potential = "x^2 + 0.1*x^3"
+hbar = 0.1
+energy_min = 10
+energy_max = 14
+"""
+
+
+def test_a_window_behind_a_low_barrier_has_no_oracle(tmp_path, capsys):
+    # the barrier top 14.8 is below e_max + pad = 15.4: no Dirichlet wall
+    # confines the window, so oracle refuses it and spectrum leaves the
+    # oracle columns blank
+    cfg = _write(tmp_path, BARRIER_CONFIG)
+    assert main(["oracle", "--config", cfg]) == EXIT_NONCONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot confine the window" in captured.err
+    rows = _spectrum_rows(tmp_path, capsys, BARRIER_CONFIG)
+    assert len(rows) > 20
+    assert all(r[3] and r[4:] == ["", "", ""] for r in rows)
+
+
 def test_wronskian_check_solves_each_turning_point_once(tmp_path, capsys,
                                                          monkeypatch):
     orbit._turning_points.cache_clear()

@@ -8,9 +8,9 @@ import pytest
 
 from semibs.exprjet import (BinOp, Call, ExprDomainError, ExprError,
                             ExprSyntaxError, JET_INDICES, Neg, Num, Var,
-                            _real_pow_derivs, _unary_derivs, evaluate,
-                            eval_x_derivs2, is_zero_expr, jet_eval, parse,
-                            to_string, variables)
+                            _real_pow_derivs, _unary_derivs, compiled,
+                            evaluate, eval_x_derivs2, is_zero_expr, jet_eval,
+                            parse, to_string, variables)
 
 
 def _random_expr_text(rng):
@@ -192,6 +192,24 @@ def test_eval_x_derivs2_where_it_used_to_fail():
 def test_is_zero_expr():
     assert is_zero_expr(parse("0"))
     assert not is_zero_expr(parse("x"))
+
+
+def test_equal_trees_hash_equal_and_share_a_compiled_callable(monkeypatch):
+    text = "x^2 + lam*x^4 - sqrt(1 + xi^2) / exp(-x)"
+    a, b = parse(text, {"lam": 0.3}), parse(text, {"lam": 0.3})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse(text, {"lam": 0.4})
+    compiled.cache_clear()
+    f = compiled(a)
+    # the second lookup hits the memo and hashes no subtree on the way
+    subtree_hashes = []
+    for node in (Num, Var, Neg, Call):
+        node_hash = node.__hash__
+        monkeypatch.setattr(node, "__hash__", lambda self, _h=node_hash:
+                            subtree_hashes.append(self) or _h(self))
+    assert compiled(b) is f
+    assert compiled.cache_info().hits == 1
+    assert subtree_hashes == []
 
 
 # ---------------------------------------------------------------------------

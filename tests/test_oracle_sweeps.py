@@ -1,0 +1,113 @@
+"""The oracle's Numerov sweeps as banded BLAS solves, held to the Python
+loops they replace, and the Dirichlet interval that they run on."""
+
+import numpy as np
+import pytest
+
+from semibs import oracle
+from semibs.oracle import (ConfinementError, OracleConfig, _count_nodes,
+                           _count_nodes_loop, _domain, _shoot, _shoot_loop,
+                           _sweep)
+from semibs.symbols import EnergyWindow, builtin, from_potential
+
+WELLS = {
+    "harmonic": {},
+    "quartic": {},
+    "anharmonic": {"lam": 0.3},
+    "morse": {"D": 3.0, "a": 0.5},
+}
+GRID_SIZES = (2000, 3999, 7997)   # the base grid and two doublings
+DEFECT_TOL = 1e-10
+
+
+def _grid_k(name, n, window, h=0.1):
+    """Numerov prefactor, V and match point on the oracle's interval for
+    the window, so that k(E) = pref * (E - V)."""
+    sym = builtin(name, WELLS[name])
+    xl, xr = _domain(sym, h, window, OracleConfig())
+    xs = np.linspace(xl, xr, n)
+    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    dx = xs[1] - xs[0]
+    return dx * dx / (12.0 * h * h), v, int(np.argmin(v))
+
+
+@pytest.mark.parametrize("name", sorted(WELLS))
+def test_banded_sweeps_match_the_loops(name, window):
+    # 31 energies from below the well bottom to past the window's top
+    # cross every level in the window
+    energies = np.linspace(-0.1, 1.3, 31)
+    for n in GRID_SIZES:
+        pref, v, i_match = _grid_k(name, n, window)
+        counts = []
+        for e in energies:
+            k = pref * (e - v)
+            f = (1.0 + k).tolist()
+            count = _count_nodes(k)
+            assert count == _count_nodes_loop(f), (n, e)
+            counts.append(count)
+            d, d_loop = _shoot(k, i_match), _shoot_loop(f, i_match)
+            assert abs(d - d_loop) <= DEFECT_TOL, (n, e)
+            if abs(d_loop) > DEFECT_TOL:
+                assert np.sign(d) == np.sign(d_loop), (n, e)
+        assert counts[0] == 0 and counts[-1] >= 4
+
+
+def test_lists_and_arrays_give_the_same_sweep(window):
+    pref, v, i_match = _grid_k("harmonic", 2000, window)
+    k = pref * (0.6 - v)   # between the levels 0.5 and 0.7
+    assert _count_nodes(k.tolist()) == _count_nodes(k) == 3
+    assert _shoot(k.tolist(), i_match) == _shoot(k, i_match)
+
+
+def test_an_overflowing_sweep_runs_the_loop(monkeypatch):
+    """k = -0.5 grows the sweep 14-fold a step: the banded run overflows
+    within 300 points, and the rescaling loop gives the answer."""
+    k = np.full(2000, -0.5)
+    f = (1.0 + k).tolist()
+    assert not np.all(np.isfinite(_sweep(1.0 + k)))
+    expected = (_count_nodes_loop(f), _shoot_loop(f, 1000))
+    calls = []
+    for name in ("_count_nodes_loop", "_shoot_loop"):
+        loop = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _loop=loop, _name=name:
+                            calls.append(_name) or _loop(*a))
+    assert (_count_nodes(k), _shoot(k, 1000)) == expected
+    assert calls == ["_count_nodes_loop", "_shoot_loop"]
+
+
+# x^2 + 0.1 x^3 has a barrier of 14.8 at x = -20/3 and falls to -inf past it
+CUBIC = "x^2 + 0.1*x^3"
+
+
+def test_a_barrier_below_the_padded_target_is_refused():
+    # e_max + pad = 15.4 is above the barrier top
+    with pytest.raises(ConfinementError, match="falls back below e_max"):
+        _domain(from_potential(CUBIC), 0.1, EnergyWindow(10.0, 14.0),
+                OracleConfig())
+
+
+def test_a_scaled_wall_stops_inside_the_barrier():
+    sym = from_potential(CUBIC)
+    h, window = 0.1, EnergyWindow(0.05, 1.0)
+    target = window.e_max + 10.0 * h * np.sqrt(2.0)
+    for factor in (2.0, 6.0):
+        xl, xr = _domain(sym, h, window, OracleConfig(halfwidth_factor=factor))
+        # V stays at or above the padded target from its turning point out
+        # to the left wall, which for factor 6 ends before the barrier's
+        # far side (V(-10) = 0)
+        xs = np.linspace(xl, -1.8, 4001)
+        assert np.all(sym.v(xs) >= target)
+        assert -10.0 < xl < -1.8 and xr > 1.0
+    energies = oracle.oracle_spectrum(sym, h, window,
+                                      OracleConfig(halfwidth_factor=6.0))
+    assert len(energies) == 5
+
+
+def test_morse_asymptote_walls_are_unchanged():
+    """The wall on the finite-asymptote side is still x0 + 3 f (x_conf -
+    x0); the values are those from before the barrier check."""
+    sym = builtin("morse", WELLS["morse"])
+    assert _domain(sym, 0.1, EnergyWindow(0.08, 1.02), OracleConfig()) \
+        == (-3.1839999999999997, 8.7495424)
+    assert _domain(sym, 0.1, EnergyWindow(2.0, 2.95), OracleConfig()) \
+        == (-3.1839999999999997, 60.870753361919995)
