@@ -12,9 +12,13 @@ orders" (Ann. Henri Poincare 6, 2005); ``s2_value`` puts it together.
 (d/dE) \\oint Gamma dt = 4 \\oint V'' dt, so one E-derivative suffices.
 Every closed-orbit integral at one energy comes from one call of
 ``orbit.orbit_quadrature``; ODE-traced orbits and the Gamma integrand serve
-only as the tests' reference (``gamma_integral``).  E-derivatives are
-5-point central differences across neighboring energies, with one
-Richardson extrapolation at half step.  The pointwise Fourier-side density
+only as the tests' reference (``gamma_integral``).  ``orbit_integrands``
+lists the integrands S1 and S2 read, for this module and for the solver's
+table (``quantize.SEffTable``), which takes E-derivatives of Chebyshev
+series.  ``action_series`` at one energy is the tests' reference: its
+E-derivatives are 5-point central differences across neighboring energies
+with step eta, with one Richardson extrapolation at half step.  The
+pointwise Fourier-side density
 t1_value and the d1 bracket terms are kept for near-focal-arc verification;
 full-orbit quadrature of them is never attempted (they are singular at the
 well bottom).
@@ -83,15 +87,10 @@ def _d1_5pt(values, eta):
     return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * eta)
 
 
-def action_series(sym, e, eta, quad_tol=1e-12):
-    """Compute the action series at energy e with E-derivative step eta.
-
-    ``e`` is a number or a 1-D array of energies; for an array every field
-    is an array over it, from two array quadratures: one at the energies,
-    one at all their stencil energies together."""
-
-    def v_dd(x, xi):
-        return sym.v_derivs(x)[2] + 0.0 * x
+def orbit_integrands(sym):
+    """The integrands f(x, xi) of the orbit integrals S1 and S2 read, in
+    this order: p1, p2, V'' and p1^2 (the last two are differentiated in
+    E).  Each returns an array shaped like x."""
 
     def p1(x, xi):
         return evaluate(sym.p1, x, xi) + 0.0 * x
@@ -99,14 +98,26 @@ def action_series(sym, e, eta, quad_tol=1e-12):
     def p2(x, xi):
         return evaluate(sym.p2, x, xi) + 0.0 * x
 
+    def v_dd(x, xi):
+        return sym.v_derivs(x)[2] + 0.0 * x
+
     def p1_sq(x, xi):
         return p1(x, xi) ** 2
+
+    return [p1, p2, v_dd, p1_sq]
+
+
+def action_series(sym, e, eta, quad_tol=1e-12):
+    """Compute the action series at energy e with E-derivative step eta.
+
+    ``e`` is a number or a 1-D array of energies; for an array every field
+    is an array over it, from two array quadratures: one at the energies,
+    one at all their stencil energies together."""
 
     def one(x, xi):
         return np.ones_like(x)
 
-    # integrands differentiated in E: oint V'' dt and oint p1^2 dt
-    stencil_fs = [v_dd, p1_sq]
+    p1, p2, *stencil_fs = orbit_integrands(sym)
     s0, (period, sub, p2_int, *at_e) = orbit_quadrature(
         sym, e, [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
 

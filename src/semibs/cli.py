@@ -23,7 +23,7 @@ from .oracle import (ConfinementError, OracleConfig, OracleError,
                      oracle_spectrum)
 from .orbit import ConvergenceError, OrbitError, turning_points
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
-                       convergence_fit, gram_scan, resolve_eta)
+                       convergence_fit, gram_scan)
 from .symbols import EnergyWindow, SymbolError, from_potential, validate_well
 
 EXIT_OK = 0
@@ -61,7 +61,6 @@ CONFIG_KEYS = (
     ("solver", "order", int),
     ("solver", "quad_tol", float),
     ("solver", "root_tol", float),
-    ("solver", "eta", float),
     ("oracle", "halfwidth_factor", float),
     ("oracle", "shoot_tol", float),
     ("wronlab", "grid_points_per_oscillation", int),
@@ -84,7 +83,6 @@ class RunConfig:
     order: int = 2
     quad_tol: float = 1e-10
     root_tol: float = 1e-10
-    eta: float | None = None  # None: quantize.resolve_eta's default
     halfwidth_factor: float = 2.0
     shoot_tol: float = 1e-10
     grid_points_per_oscillation: int = 63
@@ -104,8 +102,6 @@ class RunConfig:
         for name in ("quad_tol", "root_tol", "shoot_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ConfigError("eta must be positive")
         if not self.hbar or any(h <= 0 for h in self.hbar):
             raise ConfigError("hbar values must be positive")
         if self.halfwidth_factor < 1.5:
@@ -122,13 +118,11 @@ class RunConfig:
         return from_potential(self.potential, self.p1, self.p2)
 
     def dump(self, stream):
-        """Emit the effective configuration (eta resolved, unset cutoffs
-        left out); re-parses to an equal config."""
+        """Emit the effective configuration (unset cutoffs left out);
+        re-parses to an equal config."""
         cp = configparser.ConfigParser()
         for section, key, kind in CONFIG_KEYS:
             value = getattr(self, key)
-            if key == "eta":
-                value = resolve_eta(value, self.window)
             if value is None:
                 continue
             if not cp.has_section(section):
@@ -143,6 +137,14 @@ def parse_config(text):
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
+    # a [DEFAULT] key would reach every section, so none is known there
+    known = {(section, key) for section, key, _ in CONFIG_KEYS}
+    given = [(cp.default_section, key) for key in cp.defaults()] + [
+        (section, key) for section in cp.sections()
+        for key in cp.options(section)]
+    for section, key in given:
+        if (section, key) not in known:
+            raise ConfigError(f"unknown key [{section}] {key}")
     cfg = RunConfig()
     for section, key, kind in CONFIG_KEYS:
         if cp.has_option(section, key):
@@ -205,7 +207,7 @@ def _oracle_levels(cfg, sym, h):
 def cmd_spectrum(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
-    table = bs_solve(sym, h, cfg.window, order=cfg.order, eta=cfg.eta,
+    table = bs_solve(sym, h, cfg.window, order=cfg.order,
                      quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
     try:
         levels = _oracle_levels(cfg, sym, h)
@@ -226,8 +228,7 @@ def cmd_gram_scan(cfg, out):
     sym = _validated_symbol(cfg)
     h = cfg.hbar[0]
     evals, zeros = gram_scan(sym, cfg.window, h, steps=GRAM_SCAN_STEPS,
-                             order=cfg.order, eta=cfg.eta,
-                             quad_tol=cfg.quad_tol)
+                             order=cfg.order, quad_tol=cfg.quad_tol)
     es = np.array([g.e for g in evals])
     flagged = set()
     for z in zeros:
@@ -255,7 +256,7 @@ def cmd_convergence(cfg, out):
         raise ConfigError("convergence requires at least 3 hbar values")
     rows = []
     for h in cfg.hbar:
-        table = bs_solve(sym, h, cfg.window, order=2, eta=cfg.eta,
+        table = bs_solve(sym, h, cfg.window, order=2,
                          quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
         levels = _oracle_levels(cfg, sym, h)
         if levels is None:

@@ -67,13 +67,26 @@ def _check_bottom(e, bottom):
                          f"V(x0) = {bottom[1]}")
 
 
+def _check_apart(e, xl, xr):
+    """OrbitError unless the turning points xl < xr are apart: roots
+    within the root solve's tolerance of each other (a well so steep that
+    V = E is resolved only at the bottom) bound no orbit."""
+    if not np.all(xl < xr):
+        i = int(np.argmin(np.asarray(xr) - np.asarray(xl)))
+        raise OrbitError(f"the turning points coincide at E = "
+                         f"{np.ravel(e)[i]}: the well is too narrow to "
+                         "resolve")
+
+
 @lru_cache(maxsize=TURNING_POINT_CACHE_SIZE)
 def _turning_points(potential, e):
     bottom = well_minimum(potential, e)
     _check_bottom(e, bottom)
     x0 = bottom[0]
-    return (_bracket_root(potential, e, x0, direction=-1),
-            _bracket_root(potential, e, x0, direction=+1))
+    xl = _bracket_root(potential, e, x0, direction=-1)
+    xr = _bracket_root(potential, e, x0, direction=+1)
+    _check_apart(e, xl, xr)
+    return xl, xr
 
 
 def _bracket_root(potential, e, x0, direction):
@@ -164,6 +177,7 @@ def _turning_points_array(potential, es):
                 break
     for i in todo:
         x[i] = _bracket_root(potential, e2[i], x_start[i], int(sign[i]))
+    _check_apart(es, x[:len(es)], x[len(es):])
     return x[:len(es)], x[len(es):]
 
 

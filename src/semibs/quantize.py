@@ -8,13 +8,33 @@ The level condition solved here is
 
 with the Maslov contribution of the two focal points folded into the
 half-integer offset; S2 is ``actions.s2_value`` at ``S2_SIGN``, the same
-value as ``ActionSeries.s2``.  S0 and the orbit integrals come from
-``orbit.orbit_quadrature`` (through ``actions.action_series`` at order 2);
-no ODE orbit is traced here.  Every energy grid (the ``gram_scan`` sweep,
-the S0 table that brackets each level and the dense-scan fallback) is
-evaluated as one energy array; single energies (Brent's root refinement,
-the level fixed point, the refinement of a Gram zero) take the scalar path
-and its memoised turning points.  The Gram determinant is the closed form
+value as ``ActionSeries.s2``.
+
+A request reads its left-hand side S_eff(E), at every order up to its own,
+from one ``SEffTable``: S0, \\oint p1 dt, \\oint p2 dt, \\oint V'' dt and
+\\oint p1^2 dt as piecewise Chebyshev series of TABLE_NODES nodes on the
+window padded by TABLE_PAD of its span on each side, the lower pad held
+above the well bottom and the upper one below a barrier top or a
+dissociation limit.  S2's two E-derivatives are derivatives of those
+series.  A piece is accepted when the last two Chebyshev coefficients of
+each of its series are within quad_tol max(1, |c0|) of that series; a
+piece that fails is halved, and all pieces of one split round are filled
+by one array call of ``orbit.orbit_quadrature``.  The test reads the
+integrals before differentiation: an E-derivative multiplies the
+quadrature's own error, about quad_tol, by up to 2 (TABLE_NODES - 1) / w on
+a piece of width w, which halving w only makes worse.  After
+MAX_SPLIT_ROUNDS rounds, or past MAX_TABLE_PIECES pieces, the table raises
+ConvergenceError, so no value comes from a piece that failed its test.  No
+ODE orbit is traced and no scalar quadrature is made here.
+
+Levels are roots of S_eff = 2 pi h (k + 1/2) on the table.  The roots of
+dS_eff/dE (companion-matrix eigenvalues) cut every piece into monotone
+segments; a segment whose end values straddle a target holds one root,
+refined by safeguarded Newton steps on its series.  The one scan serves a
+monotone and a non-monotone S_eff alike.  ``bs_solve`` keeps, per level,
+the first root inside the window; where a lower order's level lies past
+the table, the table is extended there.  ``gram_scan`` reads its energy
+grid and its zeros, every root in the window, from the same table.  The Gram determinant is the closed form
 -cos^2(action_diff/(2h) + pi/2) whose zero set coincides with the level set
 of the condition above.
 """
@@ -25,19 +45,29 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from numpy.polynomial import chebyshev
 
-from .actions import S2_SIGN, action_series, s2_value
-from .exprjet import evaluate
-from .orbit import orbit_quadrature
-from .symbols import EnergyWindow, HamiltonianSymbol
+from .actions import S2_SIGN, action_series, orbit_integrands, s2_value
+from .orbit import ConvergenceError, orbit_quadrature
+from .symbols import scan_domain, well_minimum
 
 MASLOV_PHASE = math.pi / 2.0
 
-# a local minimum of |det| on the gram_scan grid below this counts as a zero
-GRAM_ZERO_TOL = 1e-6
-S0_GRID_POINTS = 33       # energies of the S0 table that brackets each level
-DENSE_SCAN_POINTS = 801   # energies the non-monotone fallback scans
+TABLE_NODES = 16         # Chebyshev nodes per piece of the S_eff table
+TABLE_PAD = 0.05         # of the window's span, tabulated past each edge
+PAD_HALVINGS = 20        # of the upper pad, to stay below a barrier top
+MAX_SPLIT_ROUNDS = 24    # halvings of a piece before ConvergenceError
+MAX_TABLE_PIECES = 128   # pieces per table: a split round can double them
+MAX_EXTENSIONS = 4       # doubling pads past the window for a lower order
+ROOT_ITERATIONS = 100    # safeguarded Newton steps of a root refinement
+_EPS = np.finfo(float).eps
+
+# Chebyshev points of the first kind on [-1, 1], and the matrix taking the
+# values there (last axis) to the coefficients of the interpolant
+_THETA = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
+_NODES = np.cos(_THETA)
+_FIT = 2.0 / TABLE_NODES * np.cos(np.outer(_THETA, np.arange(TABLE_NODES)))
+_FIT[:, 0] *= 0.5
 
 
 class QuantizeError(Exception):
@@ -74,169 +104,219 @@ class GramEval:
     det: float
 
 
-def resolve_eta(eta, window):
-    """The E-step of the S2 finite differences: ``eta``, or 2% of the
-    window's span when it is None."""
-    return 0.02 * (window.e_max - window.e_min) if eta is None else eta
+def _clenshaw(c, t):
+    """sum_k c[i, k] T_k(t[i]) for every row i."""
+    b1 = b2 = 0.0
+    for k in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = c[:, k] + 2.0 * t * b1 - b2, b1
+    return c[:, 0] + t * b1 - b2
 
 
-class _SeriesEvaluator:
-    """Truncated action series S_eff(E) at one order.
+class SEffTable:
+    """S_eff(E) at every order up to ``order`` on [lo, hi], as contiguous
+    pieces of Chebyshev series (see the module docstring).  ``bottom`` is
+    the well's minimum value, which an extension downwards stays above."""
 
-    Every method takes a number or a 1-D array of energies.  An array is
-    evaluated by array quadratures (``orbit.orbit_quadrature``), so a grid
-    of energies costs O(1) calls rather than one per energy; a number keeps
-    the memoised scalar turning points, which are cheaper for one energy."""
+    def __init__(self, sym, h, order, lo, hi, quad_tol, s2_sign, bottom):
+        self.sym, self.h, self.order = sym, h, order
+        self.quad_tol, self.s2_sign, self.bottom = quad_tol, s2_sign, bottom
+        # S1 reads oint p1 dt, S2 all four integrals
+        self._fs = orbit_integrands(sym)[:(0, 1, 4)[order]]
+        self._lo = np.empty(0)
+        self._hi = np.empty(0)
+        self._series = np.empty((order + 1, 0, TABLE_NODES))
+        self.extensions = 0
+        self._add(lo, hi)
 
-    def __init__(self, sym, h, order, eta, quad_tol=1e-12, s2_sign=None):
-        self.sym = sym
-        self.h = h
-        self.order = order
-        self.eta = eta
-        self.quad_tol = quad_tol
-        self.s2_sign = S2_SIGN if s2_sign is None else s2_sign
-        self.p1 = lambda x, xi: evaluate(sym.p1, x, xi) + 0.0 * x
+    @classmethod
+    def for_window(cls, sym, h, order, window, quad_tol=1e-12, s2_sign=None):
+        """The table on the window padded by TABLE_PAD of its span: the
+        lower pad held above the well bottom, the upper one halved until
+        the well still holds its end (below a barrier top or a
+        dissociation limit)."""
+        pad = TABLE_PAD * (window.e_max - window.e_min)
+        lo = window.e_min - pad
+        well = well_minimum(sym.potential, window.e_max)
+        bottom = None if well is None else well[1]
+        if bottom is not None:
+            lo = max(lo, 0.5 * (window.e_min + bottom))
+        for _ in range(PAD_HALVINGS):
+            if scan_domain(sym.potential, window.e_max + pad) is not None:
+                break
+            pad *= 0.5
+        return cls(sym, h, order, lo, window.e_max + pad, quad_tol,
+                   S2_SIGN if s2_sign is None else s2_sign, bottom)
 
-    def s0(self, e):
-        return orbit_quadrature(self.sym, e, rel_tol=self.quad_tol)[0]
+    @property
+    def lo(self):
+        return float(self._lo[0])
 
-    def split(self, e):
-        """(S0, the terms beyond S0 at the working order) at energy e."""
-        h = self.h
+    @property
+    def hi(self):
+        return float(self._hi[-1])
+
+    # -- building -----------------------------------------------------------
+
+    def _fit(self, pieces):
+        """(series of S0 and of each orbit integral, S_eff series at orders
+        0..order) of the pieces, an (m, 2) array of [lo, hi], from one array
+        quadrature."""
+        lo, hi = pieces[:, :1], pieces[:, 1:]
+        es = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+        s0, ints = orbit_quadrature(self.sym, es.ravel(), self._fs,
+                                    rel_tol=self.quad_tol)
+        c = np.reshape([s0, *ints], (-1, *es.shape)) @ _FIT
+        series = [c[0]]
+        if self.order >= 1:
+            series.append(c[0] - self.h * c[1])
         if self.order == 2:
-            ser = action_series(self.sym, e, self.eta, quad_tol=self.quad_tol)
-            s2 = s2_value(ser.gamma_dd, ser.p1sq_d, ser.p2_int, self.s2_sign)
-            return ser.s0, -h * ser.sub_principal + h * h * s2
-        if self.order == 1:
-            s0, (sub,) = orbit_quadrature(self.sym, e, [self.p1],
-                                          rel_tol=self.quad_tol)
-            return s0, -h * sub
-        return self.s0(e), 0.0
+            def d_de(k):   # the E-derivative's series, zero-padded
+                d = chebyshev.chebder(c[k], axis=-1) * (2.0 / (hi - lo))
+                return np.pad(d, ((0, 0), (0, 1)))
+            s2 = s2_value(4.0 * d_de(3), d_de(4), c[2], self.s2_sign)
+            series.append(series[1] + self.h * self.h * s2)
+        return c, np.array(series)
 
-    def correction(self, e):
-        """The terms beyond S0 at the working order."""
-        return self.split(e)[1]
+    def _add(self, lo, hi):
+        """Tabulate [lo, hi], which borders the pieces already held."""
+        pending = np.array([[lo, hi]])
+        kept = []
+        for _ in range(MAX_SPLIT_ROUNDS + 1):
+            integrals, series = self._fit(pending)
+            tail = np.max(np.abs(integrals[..., -2:]), axis=-1)
+            ok = np.all(tail <= self.quad_tol
+                        * np.maximum(1.0, np.abs(integrals[..., 0])), axis=0)
+            kept.append((pending[ok], series[:, ok]))
+            if ok.all():
+                break
+            bad = pending[~ok]
+            mid = 0.5 * (bad[:, 0] + bad[:, 1])
+            pending = np.concatenate([np.column_stack([bad[:, 0], mid]),
+                                      np.column_stack([mid, bad[:, 1]])])
+            if len(self._lo) + sum(len(p) for p, _ in kept) \
+                    + len(pending) > MAX_TABLE_PIECES:
+                raise ConvergenceError(
+                    f"S_eff table needs more than {MAX_TABLE_PIECES} pieces "
+                    f"on [{lo}, {hi}]")
+        else:
+            raise ConvergenceError(
+                f"S_eff table did not converge after {MAX_SPLIT_ROUNDS} "
+                f"split rounds on [{lo}, {hi}]")
+        pieces = np.concatenate([np.column_stack([self._lo, self._hi])]
+                                + [p for p, _ in kept])
+        by_lo = np.argsort(pieces[:, 0])
+        self._lo, self._hi = pieces[by_lo, 0], pieces[by_lo, 1]
+        self._series = np.concatenate(
+            [self._series] + [s for _, s in kept], axis=1)[:, by_lo]
+        self._dseries = chebyshev.chebder(self._series, axis=-1)
+        self._critical = {}
 
-    def value(self, e):
-        s0, correction = self.split(e)
-        return s0 + correction
+    def extend(self, down):
+        """Tabulate past the lower end (held above the well bottom) or the
+        upper end, by a pad that doubles with every extension."""
+        step = TABLE_PAD * 2.0 ** self.extensions * (self.hi - self.lo)
+        self.extensions += 1
+        if down:
+            lo = self.lo - step
+            if self.bottom is not None:
+                lo = max(lo, 0.5 * (self.lo + self.bottom))
+            self._add(lo, self.lo)
+        else:
+            self._add(self.hi, self.hi + step)
 
+    # -- reading ------------------------------------------------------------
 
-def _monotone_s0_grid(ev, e_min, e_max):
-    es = np.linspace(e_min, e_max, S0_GRID_POINTS)
-    vals = ev.s0(es)
-    if not np.all(np.diff(vals) > 0):
-        raise QuantizeError(
-            "S0 is not increasing on the window; the well hypotheses fail")
-    return es, vals
+    def value(self, e, order):
+        """S_eff at ``order`` at the energies e, an array."""
+        e = np.asarray(e, dtype=float)
+        i = np.clip(np.searchsorted(self._lo, e, side="right") - 1,
+                    0, len(self._lo) - 1)
+        lo, hi = self._lo[i], self._hi[i]
+        return _clenshaw(self._series[order][i],
+                         (2.0 * e - lo - hi) / (hi - lo))
 
+    def monotone_cuts(self, order, u, v):
+        """Sorted energies cutting [u, v] into segments, each inside one
+        piece, on which S_eff at ``order`` is monotone: u, v, the piece
+        edges and the roots of dS_eff/dE between them.  A near-real pair of
+        roots counts as real, which at worst adds a cut."""
+        if order not in self._critical:
+            found = []
+            for lo, hi, d in zip(self._lo, self._hi, self._dseries[order]):
+                r = chebyshev.chebroots(d)
+                r = r.real[(np.abs(r.imag) <= 1e-8) & (np.abs(r.real) < 1.0)]
+                found.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * r)
+            self._critical[order] = np.concatenate(found)
+        cuts = np.concatenate([[u, v], self._lo, self._critical[order]])
+        return np.unique(cuts[(cuts >= u) & (cuts <= v)])
 
-def _solve_s0(ev, es, vals, target, root_tol):
-    """Root of S0(E) = target using the precomputed monotone grid."""
-    i = min(max(int(np.searchsorted(vals, target)), 1), len(es) - 1)
-    lo, hi = es[i - 1], es[i]
-    f_lo, f_hi = vals[i - 1] - target, vals[i] - target
-    # widen the bracket if the target sits at (or just past) a window edge
-    span = es[-1] - es[0]
-    f = lambda e: ev.s0(e) - target
-    for _ in range(12):
-        if f_lo <= 0 <= f_hi:
-            break
-        lo, hi = lo - 0.05 * span, hi + 0.05 * span
-        f_lo, f_hi = f(lo), f(hi)
-    else:
-        raise QuantizeError(f"could not bracket the level S0 = {target}")
-    return brentq(f, lo, hi, xtol=root_tol, rtol=4 * np.finfo(float).eps)
+    def roots(self, order, targets, u, v, root_tol):
+        """(k, E): every E in [u, v] where S_eff at ``order`` equals
+        targets[k], sorted by k and then by E.
 
+        Each segment of ``monotone_cuts`` is read on its own piece, so the
+        values at its two ends come from one series: a target they straddle
+        has one root in the segment.  A target straddled by two pieces'
+        values at their shared edge has the edge as its root.  Every
+        crossing counts once, at the end it reaches."""
+        targets = np.asarray(targets, dtype=float)
+        cuts = self.monotone_cuts(order, u, v)
+        a, b = cuts[:-1], cuts[1:]
+        i = np.clip(np.searchsorted(self._lo, 0.5 * (a + b), side="right")
+                    - 1, 0, len(self._lo) - 1)
+        ends = np.column_stack([a, b]).ravel()
+        piece = np.repeat(i, 2)
+        lo, hi = self._lo[piece], self._hi[piece]
+        vals = _clenshaw(self._series[order][piece],
+                         (2.0 * ends - lo - hi) / (hi - lo))
+        g = vals[None, :] - targets[:, None]
+        g0, g1 = g[:, :-1], g[:, 1:]
+        cross = ((g0 < 0) & (g1 >= 0)) | ((g0 > 0) & (g1 <= 0))
+        cross[:, 0] |= g0[:, 0] == 0
+        k, link = np.nonzero(cross)
+        # link 2j runs along segment j, link 2j + 1 jumps at a piece edge
+        e = ends[link + 1]
+        along = link % 2 == 0
+        seg = link[along] // 2
+        e[along] = self._refine(order, i[seg], targets[k[along]], a[seg],
+                                b[seg], g0[k[along], link[along]],
+                                g1[k[along], link[along]], root_tol)
+        by_k = np.lexsort((e, k))
+        return k[by_k], e[by_k]
 
-def _solve_level(ev, e, es, vals, target, root_tol):
-    """Solve S_eff(E) = target by fixed-point iteration on the correction,
-    starting from the order-0 root e of S0(E) = target.
-
-    The iteration contracts by O(h^2) per step and is accepted at
-    root_tol.  A step that does not shrink by half (h too large for the
-    fixed point) raises ``QuantizeError``, and ``bs_solve`` falls back to
-    the dense scan.
-    """
-    if ev.order == 0:
-        return e
-    prev_step = math.inf
-    for _ in range(40):
-        e_new = _solve_s0(ev, es, vals, target - ev.correction(e), root_tol)
-        step = abs(e_new - e)
-        if step <= root_tol * (1.0 + abs(e_new)):
-            return e_new
-        if step >= 0.5 * prev_step:
-            break  # not contracting: h too large for the fixed point
-        prev_step = step
-        e = e_new
-    raise QuantizeError(
-        f"level iteration did not converge near E = {e} (h too large?)")
-
-
-def _dense_scan_roots(ev, e_min, e_max, target, root_tol):
-    """Fallback when S_eff is non-monotone: locate every sign change."""
-    es = np.linspace(e_min, e_max, DENSE_SCAN_POINTS)
-    g = ev.value(es) - target
-    roots = []
-    for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
-        roots.append(brentq(lambda e: ev.value(e) - target, es[i], es[i + 1],
-                            xtol=root_tol, rtol=4 * np.finfo(float).eps))
-    return roots
-
-
-def bs_solve(sym, h, window, order=2, eta=None, quad_tol=1e-12, root_tol=1e-10,
-             s2_sign=None):
-    """Solve the quantization condition on the window at the given order.
-
-    Returns a SpectrumTable whose rows carry the eigenvalue at every order
-    up to ``order`` (higher-order columns repeat the last computed one).
-    """
-    if order not in (0, 1, 2):
-        raise QuantizeError("order must be 0, 1 or 2")
-    if not (math.isfinite(h) and h > 0):
-        raise QuantizeError("h must be positive and finite")
-    eta = resolve_eta(eta, window)
-
-    evaluators = [
-        _SeriesEvaluator(sym, h, m, eta, quad_tol=quad_tol, s2_sign=s2_sign)
-        for m in range(order + 1)
-    ]
-    ev_top = evaluators[-1]
-
-    es, vals = _monotone_s0_grid(ev_top, window.e_min, window.e_max)
-
-    s_lo = ev_top.value(window.e_min)
-    s_hi = ev_top.value(window.e_max)
-    lo, hi = (s_lo, s_hi) if s_lo < s_hi else (s_hi, s_lo)
-    two_pi_h = 2.0 * math.pi * h
-    k_min = math.ceil(lo / two_pi_h - 0.5 - 1e-12)
-    k_max = math.floor(hi / two_pi_h - 0.5 + 1e-12)
-    if k_max < k_min:
-        raise QuantizeError("no quantization levels inside the window")
-
-    table = SpectrumTable(h=h)
-    for k in range(k_min, k_max + 1):
-        target = two_pi_h * (k + 0.5)
-        levels, e0 = [], None
-        for ev in evaluators:
-            try:
-                if e0 is None:  # S0 is the same for every order
-                    e0 = _solve_s0(ev, es, vals, target, root_tol)
-                levels.append(_solve_level(ev, e0, es, vals, target,
-                                           root_tol))
-            except QuantizeError:
-                roots = _dense_scan_roots(ev, window.e_min, window.e_max,
-                                          target, root_tol)
-                if not roots:
-                    raise
-                levels.append(roots[0])
-        while len(levels) < 3:
-            levels.append(levels[-1])
-        table.rows.append(SpectrumRow(n=k, e_order0=levels[0],
-                                      e_order1=levels[1], e_order2=levels[2]))
-    table.rows.sort(key=lambda r: r.n)
-    return table
+    def _refine(self, order, piece, targets, ea, eb, f_a, f_b, root_tol):
+        """Per row, the E in [ea, eb] where the series of ``piece`` equals
+        the target; f_a, f_b (opposite signs, or f_b = 0) are the series
+        minus the target at ea, eb.  Newton steps from the secant point,
+        replaced by bisection where a step leaves the bracket.  A root is
+        done once its step is within root_tol (1 + |E|), or a few ulp."""
+        c = self._series[order][piece]
+        c[:, 0] -= targets
+        d = self._dseries[order][piece]
+        lo, half = self._lo[piece], 0.5 * (self._hi[piece] - self._lo[piece])
+        ta, tb = (ea - lo) / half - 1.0, (eb - lo) / half - 1.0
+        t = np.where(f_b == 0, tb, ta - f_a * (tb - ta) / (f_b - f_a))
+        todo = np.arange(len(t))
+        for _ in range(ROOT_ITERATIONS):
+            if not todo.size:
+                break
+            tt, c_t, half_t = t[todo], c[todo], half[todo]
+            f, fp = _clenshaw(c_t, tt), _clenshaw(d[todo], tt)
+            right = f * f_a[todo] > 0   # the root lies right of tt
+            ta[todo] = np.where(right, tt, ta[todo])
+            tb[todo] = np.where(right, tb[todo], tt)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = tt - f / fp
+            new = np.where((new >= ta[todo]) & (new <= tb[todo]), new,
+                           0.5 * (ta[todo] + tb[todo]))
+            new = np.where(f == 0, tt, new)
+            step = np.abs(new - tt)
+            t[todo] = new
+            e = lo[todo] + half_t * (new + 1.0)
+            done = (step * half_t <= root_tol * (1.0 + np.abs(e))) \
+                | (step <= 4.0 * _EPS)
+            todo = todo[~done]
+        return lo + half * (t + 1.0)
 
 
 def attach_oracle(table, oracle_levels):
@@ -253,25 +333,94 @@ def attach_oracle(table, oracle_levels):
     return table
 
 
-def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None,
-             _evaluator=None):
-    """Analytic Gram determinant at energy e.
+def _levels(table, order, targets, window, root_tol):
+    """Per target, the first root of S_eff at ``order`` inside the window,
+    else the root nearest to it.  Where a target has no root on the table,
+    the table is extended on the side the target lies beyond, at most
+    MAX_EXTENSIONS times in all."""
+    while True:
+        ks, es = table.roots(order, targets, table.lo, table.hi, root_tol)
+        outside = np.maximum(window.e_min - es, es - window.e_max)
+        found = np.full(len(targets), np.nan)
+        for k in range(len(targets)):
+            e, d = es[ks == k], outside[ks == k]
+            if e.size:
+                found[k] = e[d <= 0.0][0] if np.any(d <= 0.0) \
+                    else e[np.argmin(d)]
+        missing = np.isnan(found)
+        if not missing.any():
+            return found
+        target = targets[missing][0]
+        if table.extensions == MAX_EXTENSIONS:
+            raise QuantizeError(
+                f"could not bracket the order-{order} level S = {target} "
+                f"on [{table.lo}, {table.hi}]")
+        table.extend(down=bool(target < table.value([table.lo], order)[0]))
+
+
+def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10,
+             s2_sign=None):
+    """Solve the quantization condition on the window at the given order.
+
+    Returns a SpectrumTable whose rows carry the eigenvalue at every order
+    up to ``order`` (higher-order columns repeat the last computed one).
+    The rows are the k whose target 2 pi h (k + 1/2) S_eff at ``order``
+    takes on the window; each order's level is its first root inside the
+    window, else its root nearest to it (``_levels``).
+    """
+    if order not in (0, 1, 2):
+        raise QuantizeError("order must be 0, 1 or 2")
+    if not (math.isfinite(h) and h > 0):
+        raise QuantizeError("h must be positive and finite")
+    table = SEffTable.for_window(sym, h, order, window, quad_tol, s2_sign)
+
+    cuts = table.monotone_cuts(0, window.e_min, window.e_max)
+    if not np.all(np.diff(table.value(cuts, 0)) > 0):
+        raise QuantizeError(
+            "S0 is not increasing on the window; the well hypotheses fail")
+
+    s_lo, s_hi = table.value([window.e_min, window.e_max], order)
+    lo, hi = (s_lo, s_hi) if s_lo < s_hi else (s_hi, s_lo)
+    two_pi_h = 2.0 * math.pi * h
+    k_min = math.ceil(lo / two_pi_h - 0.5 - 1e-12)
+    k_max = math.floor(hi / two_pi_h - 0.5 + 1e-12)
+    if k_max < k_min:
+        raise QuantizeError("no quantization levels inside the window")
+    ks = np.arange(k_min, k_max + 1)
+    targets = two_pi_h * (ks + 0.5)
+
+    levels = [_levels(table, m, targets, window, root_tol)
+              for m in range(order + 1)]
+    while len(levels) < 3:
+        levels.append(levels[-1])
+    return SpectrumTable(h=h, rows=[
+        SpectrumRow(n=int(k), e_order0=float(e0), e_order1=float(e1),
+                    e_order2=float(e2))
+        for k, e0, e1, e2 in zip(ks, *levels)])
+
+
+def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None):
+    """Analytic Gram determinant at energy e, the tests' reference.
 
     action_diff is the difference of the two generalized branch actions,
     which equals S_eff(E) minus the pi h contributed by the focal-point
     prefactors; with maslov_phase = pi/2 the determinant reduces to
-    -cos^2(S_eff/(2h)).  At order 2 the S2 stencil's E-step ``eta`` must
-    be given (``resolve_eta`` is the default for a window), unless
-    ``_evaluator`` carries it.
+    -cos^2(S_eff/(2h)).  S_eff comes from scalar quadratures at e; at
+    order 2 through ``actions.action_series``, whose S2 stencil takes the
+    E-step ``eta``.
     """
-    ev = _evaluator
-    if ev is None:
-        if order == 2 and eta is None:
-            raise QuantizeError("gram_det at order 2 needs eta "
-                                "(see resolve_eta)")
-        ev = _SeriesEvaluator(sym, h, order, eta, quad_tol=quad_tol,
-                              s2_sign=s2_sign)
-    return _gram_eval(e, h, ev.value(e))
+    if order == 2:
+        if eta is None:
+            raise QuantizeError("gram_det at order 2 needs eta")
+        ser = action_series(sym, e, eta, quad_tol=quad_tol)
+        s2 = s2_value(ser.gamma_dd, ser.p1sq_d, ser.p2_int,
+                      S2_SIGN if s2_sign is None else s2_sign)
+        s_eff = ser.s0 - h * ser.sub_principal + h * h * s2
+    else:
+        s0, ints = orbit_quadrature(sym, e, orbit_integrands(sym)[:order],
+                                    rel_tol=quad_tol)
+        s_eff = s0 - h * sum(ints)
+    return _gram_eval(e, h, s_eff)
 
 
 def _gram_eval(e, h, s_eff):
@@ -282,32 +431,29 @@ def _gram_eval(e, h, s_eff):
                     maslov_phase=MASLOV_PHASE, det=det)
 
 
-def gram_scan(sym, window, h, steps=200, order=2, eta=None, quad_tol=1e-12,
+def gram_scan(sym, window, h, steps=200, order=2, quad_tol=1e-12,
               s2_sign=None):
-    """Scan the Gram determinant on a uniform grid and localize its zeros.
+    """The Gram determinant on a uniform grid of the window, and its zeros.
 
-    Returns (evals, zeros): the grid of GramEval records and the refined
-    energies where |det| dips below ``GRAM_ZERO_TOL``.
+    Returns (evals, zeros): the grid of GramEval records and every energy
+    of the window where S_eff = 2 pi h (k + 1/2), det's zero set, both read
+    from one ``SEffTable``.
     """
     if steps < 2:
         raise QuantizeError("gram_scan requires steps >= 2")
-    ev = _SeriesEvaluator(sym, h, order, resolve_eta(eta, window),
-                          quad_tol=quad_tol, s2_sign=s2_sign)
-
+    table = SEffTable.for_window(sym, h, order, window, quad_tol, s2_sign)
     es = np.linspace(window.e_min, window.e_max, steps)
-    evals = [_gram_eval(e, h, s) for e, s in zip(es, ev.value(es))]
-    mags = np.array([abs(g.det) for g in evals])
+    evals = [_gram_eval(e, h, s)
+             for e, s in zip(es.tolist(), table.value(es, order).tolist())]
 
-    zeros = []
-    for i in range(1, steps - 1):
-        if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]:
-            res = minimize_scalar(
-                lambda e: abs(gram_det(sym, e, h, order, _evaluator=ev).det),
-                bounds=(es[i - 1], es[i + 1]), method="bounded",
-                options={"xatol": 1e-12})
-            if abs(res.fun) < GRAM_ZERO_TOL:
-                zeros.append(float(res.x))
-    return evals, zeros
+    s = table.value(table.monotone_cuts(order, window.e_min, window.e_max),
+                    order)
+    two_pi_h = 2.0 * math.pi * h
+    ks = np.arange(math.ceil(s.min() / two_pi_h - 0.5),
+                   math.floor(s.max() / two_pi_h - 0.5) + 1)
+    _, zeros = table.roots(order, two_pi_h * (ks + 0.5), window.e_min,
+                           window.e_max, root_tol=0.0)
+    return evals, sorted(zeros.tolist())
 
 
 def convergence_fit(errs):

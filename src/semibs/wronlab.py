@@ -220,6 +220,9 @@ def airy_exclusion(sym, e, h):
     out = []
     for x_tp in (xl, xr):
         _, v1, _ = sym.v_derivs(x_tp)
+        if v1 == 0:
+            raise WronlabError(f"V' = 0 at the turning point x = {x_tp}: "
+                               "no Airy zone scale")
         out.append(AIRY_FACTOR * (h * h) ** (1.0 / 3.0)
                    * abs(float(v1)) ** (-1.0 / 3.0))
     return tuple(out)

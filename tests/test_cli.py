@@ -6,11 +6,10 @@ import time
 
 import pytest
 
-from semibs import exprjet, orbit, symbols, wronlab
+from semibs import exprjet, orbit, quantize, symbols, wronlab
 from semibs.cli import (CONFIG_KEYS, EXIT_NONCONVERGENCE, EXIT_OK,
                         EXIT_VALIDATION, ConfigError, RunConfig, main,
                         parse_config)
-from semibs.quantize import resolve_eta
 
 
 BASE_CONFIG = """\
@@ -152,14 +151,50 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
     # turning zones overlap: h too large for the WKB grid
     assert main(["wronskian-check", "--config",
                  _write(tmp_path, BASE_CONFIG)]) == EXIT_NONCONVERGENCE
-    # an S2 stencil energy below the bottom of the well
-    below = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.01") \
-                       .replace("energy_min = 0.05", "energy_min = 0.005") \
-                       .replace("energy_max = 1.1", "energy_max = 0.06") \
-                       .replace("order = 0", "order = 2\neta = 0.008")
-    assert main(["spectrum", "--config",
-                 _write(tmp_path, below)]) == EXIT_NONCONVERGENCE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("section,key", [
+    ("solver", "eta"),              # a key this version no longer reads
+    ("solver", "quadtol"),          # a typo
+    ("oracle", "order"),            # a known key in the wrong section
+    ("DEFAULT", "quad_tol"),        # [DEFAULT] reaches every section
+])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, section, key):
+    cp = configparser.ConfigParser()
+    cp.read_string(BASE_CONFIG)
+    if section != cp.default_section and not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = "0.008"
+    buf = io.StringIO()
+    cp.write(buf)
+    text = buf.getvalue()
+    with pytest.raises(ConfigError, match=fr"unknown key \[{section}\] {key}"):
+        parse_config(text)
+    assert main(["spectrum", "--config",
+                 _write(tmp_path, text)]) == EXIT_VALIDATION
+    assert f"unknown key [{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_well_too_narrow_to_resolve_exits_without_a_traceback(tmp_path,
+                                                                capsys):
+    # V = 1e200 x^2: the turning points at E in [1, 2] are about 1e-100
+    # apart, inside the root solve's tolerance, so they coincide; the
+    # window holds no oracle level either
+    text = ('[problem]\npotential = "1e200*x^2"\nhbar = 0.1\n'
+            'energy_min = 1\nenergy_max = 2\n')
+    cfg = _write(tmp_path, text)
+    for command in ("spectrum", "gram-scan", "wronskian-check", "oracle"):
+        assert main([command, "--config", cfg]) in (
+            EXIT_OK, EXIT_VALIDATION, EXIT_NONCONVERGENCE), command
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err, command
+        if command == "oracle":
+            assert out.out == "n,E\n"
+        if command == "wronskian-check":
+            assert "turning points coincide" in out.err
 
 
 def _spectrum_rows(tmp_path, capsys, text):
@@ -300,7 +335,7 @@ def test_gram_scan_compiles_each_expression_once(tmp_path, capsys,
     capsys.readouterr()
     sym = parse_config(text).symbol()
     distinct = len({sym.p0, sym.p1, sym.p2, sym.potential})
-    assert len(solves) > 100  # two per energy the scan visits
+    assert len(solves) >= 2 * quantize.TABLE_NODES  # two per table node
     assert 0 < exprjet.compiled.cache_info().misses <= distinct
     assert 0 < exprjet.compiled_derivs2.cache_info().misses <= distinct
 
@@ -322,7 +357,7 @@ def test_power_overflow_in_the_domain_scan_exits_2(tmp_path, capsys):
 
 FLOAT_KEYS = (("problem", "hbar"), ("problem", "energy_min"),
               ("problem", "energy_max"), ("solver", "quad_tol"),
-              ("solver", "root_tol"), ("solver", "eta"),
+              ("solver", "root_tol"),
               ("oracle", "halfwidth_factor"), ("oracle", "shoot_tol"),
               ("wronlab", "cutoff_r1"), ("wronlab", "cutoff_r2"))
 
@@ -354,7 +389,6 @@ def test_config_round_trip():
     assert cfg2.potential == cfg.potential
     assert cfg2.hbar == cfg.hbar
     assert cfg2.order == cfg.order
-    assert cfg2.eta == resolve_eta(cfg.eta, cfg.window)
 
 
 def test_config_parsing_errors():

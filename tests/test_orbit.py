@@ -235,3 +235,11 @@ def test_focal_frame_left_side(quartic):
     assert frame.x_focal < 0
     x = frame.x_of_xi(0.2)
     assert quartic.p0_value(x, 0.2) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_turning_points_that_coincide_are_refused():
+    # V = 1e200 x^2 at E = 1.5: the roots +-1.2e-100 are within the root
+    # solve's absolute tolerance of the minimum, so both come back as 0
+    sym = from_potential("1e200*x^2")
+    with pytest.raises(OrbitError, match="turning points coincide"):
+        turning_points(sym, 1.5)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from semibs import actions, orbit, quantize
+from semibs.actions import action_series
 from semibs.oracle import oracle_spectrum
-from semibs.quantize import (QuantizeError, _SeriesEvaluator, attach_oracle,
-                             bs_solve, convergence_fit, gram_det, gram_scan,
-                             resolve_eta)
+from semibs.orbit import ConvergenceError
+from semibs.quantize import (TABLE_NODES, QuantizeError, SEffTable,
+                             attach_oracle, bs_solve, convergence_fit,
+                             gram_det, gram_scan)
 from semibs.symbols import EnergyWindow, builtin
 
 
@@ -105,27 +107,81 @@ def test_bs_solve_argument_validation(harmonic, window):
         bs_solve(harmonic, 0.3, EnergyWindow(0.35, 0.55), order=0)
 
 
-def test_dense_scan_fallback_levels_solve_the_condition(monkeypatch):
-    """A large p2 stalls the fixed point; the dense scan's levels still
-    solve the order-2 condition to root_tol."""
-    found = []
-    dense_scan_roots = quantize._dense_scan_roots
+def test_a_non_monotone_s_eff_yields_its_first_root():
+    """On x^2 with p2 = 400 x^4 - 192 x^6 at h = 0.1, S_eff at order 2 is
+    exactly pi (E - 1.5 E^2 + 0.6 E^3), which rises, falls and rises again
+    on [0.1, 2]: the target of level 0 has three roots there, and the row
+    carries the first."""
+    h = 0.1
+    sym = builtin("harmonic", {"p2": "400*x^4 - 192*x^6"})
+    table = bs_solve(sym, h, EnergyWindow(0.1, 2.0), order=2)
+    assert [r.n for r in table.rows] == [0, 1, 2, 3]
+    for r in table.rows:
+        roots = np.roots([0.6, -1.5, 1.0, -2.0 * h * (r.n + 0.5)])
+        roots = np.sort(roots[np.abs(roots.imag) < 1e-12].real)
+        assert len(roots) == (3 if r.n == 0 else 1)
+        assert r.e_order2 == pytest.approx(roots[0], abs=1e-9)
+        # S0 = pi E: orders 0 and 1 are the harmonic levels
+        assert r.e_order0 == pytest.approx(h * (2 * r.n + 1), abs=1e-10)
+        assert r.e_order1 == r.e_order0
 
-    def spy(ev, e_min, e_max, target, root_tol):
-        roots = dense_scan_roots(ev, e_min, e_max, target, root_tol)
-        found.append((ev, target, root_tol, roots))
-        return roots
 
-    monkeypatch.setattr(quantize, "_dense_scan_roots", spy)
+def test_a_lower_order_level_beyond_the_pad_extends_the_table():
+    """x^2 with p2 = 30 x^2 at h = 0.2: S_eff = 0.4 pi E, so level 0 sits
+    at E = 0.5 in [0.3, 2], while its order-0 level E = 0.2 lies below the
+    table's padded edge 0.215; the table grows down to reach it."""
     sym = builtin("harmonic", {"p2": "30*x^2"})
     table = bs_solve(sym, 0.2, EnergyWindow(0.3, 2.0), order=2)
-    assert found
-    assert [r.e_order2 for r in table.rows] == [f[3][0] for f in found]
-    for ev, target, root_tol, roots in found:
-        assert ev.order == 2 and roots
-        for e in roots:
-            lo, hi = (ev.value(e + d) - target for d in (-root_tol, root_tol))
-            assert lo * hi <= 0, (e, lo, hi)
+    assert [r.n for r in table.rows] == [0, 1]
+    for r in table.rows:
+        assert r.e_order2 == pytest.approx(r.n + 0.5, abs=1e-9)
+        assert r.e_order0 == pytest.approx(0.4 * (r.n + 0.5), abs=1e-10)
+
+
+def test_s0_not_increasing_is_refused(monkeypatch, harmonic, window):
+    def quadrature(sym, e, fs=(), rel_tol=1e-12):   # S0 dips in the window
+        e = np.asarray(e, dtype=float)
+        return e - 0.2 * np.sin(8.0 * e), [np.zeros_like(e) for _ in fs]
+
+    monkeypatch.setattr(quantize, "orbit_quadrature", quadrature)
+    with pytest.raises(QuantizeError, match="S0 is not increasing"):
+        bs_solve(harmonic, 0.1, window, order=0)
+
+
+def test_the_split_cap_raises_convergence_error(monkeypatch, quartic):
+    # quartic [0.05, 1] needs five halvings near the well bottom
+    window = EnergyWindow(0.05, 1.0)
+    monkeypatch.setattr(quantize, "MAX_SPLIT_ROUNDS", 2)
+    with pytest.raises(ConvergenceError, match="split rounds"):
+        bs_solve(quartic, 0.05, window, order=2, quad_tol=1e-10)
+    with pytest.raises(ConvergenceError, match="split rounds"):
+        gram_scan(quartic, window, 0.05, order=0, quad_tol=1e-10)
+
+
+def test_each_split_round_is_one_array_quadrature(monkeypatch, quartic):
+    """Every table piece is filled by the array quadrature of its split
+    round: the first call takes TABLE_NODES energies, each later one two
+    halves of every piece that failed, and nothing else is integrated."""
+    calls = []
+    quadrature = orbit.orbit_quadrature
+
+    def counted(sym, e, *args, **kwargs):
+        calls.append(np.size(e) if np.ndim(e) else 0)
+        return quadrature(sym, e, *args, **kwargs)
+
+    for module in (quantize, actions, orbit):
+        monkeypatch.setattr(module, "orbit_quadrature", counted)
+    window = EnergyWindow(0.05, 1.0)
+    table = SEffTable.for_window(quartic, 0.05, 2, window, 1e-10)
+    pieces = len(table._lo)
+    assert pieces > 1 and 0 not in calls
+    assert calls[0] == TABLE_NODES
+    assert all(n % (2 * TABLE_NODES) == 0 for n in calls[1:])
+    assert pieces == 1 + sum(calls[1:]) // (2 * TABLE_NODES)
+    table_calls = list(calls)
+    calls.clear()
+    assert bs_solve(quartic, 0.05, window, order=2, quad_tol=1e-10).rows
+    assert calls == table_calls
 
 
 def test_gram_det_zero_at_levels_and_minus_one_between(harmonic):
@@ -141,7 +197,7 @@ def test_gram_det_zero_at_levels_and_minus_one_between(harmonic):
 def test_gram_det_vanishes_at_order2_roots(quartic, window):
     h = 0.05
     table = bs_solve(quartic, h, window, order=2)
-    eta = resolve_eta(None, window)
+    eta = 0.02 * (window.e_max - window.e_min)
     for e in table.energies(2)[::3]:
         g = gram_det(quartic, e, h, order=2, eta=eta)
         assert abs(g.det) <= 1e-8
@@ -160,50 +216,53 @@ WELLS = [("harmonic", {}), ("quartic", {}), ("anharmonic", {"lam": 0.3}),
 @pytest.mark.parametrize("name, params", WELLS)
 @pytest.mark.parametrize("p1", ["0", "0.2*x"])
 def test_series_arrays_match_scalar_calls(name, params, p1, window):
-    """An energy array gives what one call per energy gives: S0 to 4 ulp;
-    the terms beyond S0 to the rounding floor of their orbit integrals,
-    about 1e-12 relative, which the S2 stencil divides by eta."""
+    """The table at an energy array gives what scalar quadratures give at
+    each energy: S0 and S0 - h oint p1 dt to the table's tail tolerance,
+    and S2 to the error of a fine S2 stencil (eta = 1e-3), which divides
+    the quadrature's rounding by eta: up to 5e-10 on the Morse well, whose
+    S2 is 0 and which the table gets to 6e-12."""
+    h = 0.1
     sym = builtin(name, {**params, "p1": p1})
-    es = np.linspace(window.e_min, window.e_max, 17)
-    for order in (0, 1, 2):
-        ev = _SeriesEvaluator(sym, 0.1, order, resolve_eta(None, window))
-        s0, rest = ev.split(es)
-        ref = np.array([ev.split(e) for e in es])
-        assert np.max(np.abs(s0 - ref[:, 0])
-                      / np.spacing(ref[:, 0])) <= 4, order
-        assert np.all(np.abs(rest - ref[:, 1])
-                      <= 1e-12 * (1.0 + np.abs(ref[:, 1]))), order
-        np.testing.assert_allclose(ev.value(es), ref.sum(axis=1),
-                                   rtol=1e-12, atol=0)
+    table = SEffTable.for_window(sym, h, 2, window)
+    es = np.linspace(window.e_min, window.e_max, 9)
+    s0, s1 = table.value(es, 0), table.value(es, 1)
+    s2 = (table.value(es, 2) - s1) / (h * h)
+    for k, e in enumerate(es):
+        ser = action_series(sym, e, 1e-3)
+        assert s0[k] == pytest.approx(ser.s0, rel=1e-11)
+        assert s1[k] == pytest.approx(ser.s0 - h * ser.sub_principal,
+                                      rel=1e-11)
+        assert s2[k] == pytest.approx(ser.s2, rel=1e-8, abs=2e-9)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_gram_scan_evaluates_its_grid_in_array_calls(monkeypatch, window,
                                                      order):
-    # energies per call, 0 for a number: of S_eff, and of the quadrature
-    series, quads = [], []
-    split, quadrature = _SeriesEvaluator.split, orbit.orbit_quadrature
-
-    def counted_split(ev, e):
-        series.append(np.size(e) if np.ndim(e) else 0)
-        return split(ev, e)
+    # energies per quadrature call, 0 for a number
+    quads = []
+    quadrature = orbit.orbit_quadrature
 
     def counted_quadrature(sym, e, *args, **kwargs):
         quads.append(np.size(e) if np.ndim(e) else 0)
         return quadrature(sym, e, *args, **kwargs)
 
-    monkeypatch.setattr(_SeriesEvaluator, "split", counted_split)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar S_eff evaluation in gram_scan")
+
     for module in (quantize, actions):
         monkeypatch.setattr(module, "orbit_quadrature", counted_quadrature)
+    monkeypatch.setattr(quantize, "action_series", refuse)
+    monkeypatch.setattr(quantize, "gram_det", refuse)
     sym = builtin("anharmonic", {"lam": 0.3, "p1": "0.2*x"})
     evals, zeros = gram_scan(sym, window, 0.1, steps=200, order=order)
     assert len(evals) == 200 and zeros
-    # the grid in one call of S_eff, and of the quadrature (at order 2 a
-    # second one for all the S2 stencil energies); numbers only for the
-    # zero refinement, about 20 per zero
-    assert [n for n in series if n] == [200]
-    assert [n for n in quads if n] == [200] + [1200] * (order == 2)
-    assert 0 < series.count(0) < 100
+    # the 200-point grid and its zeros read one table: one array call for
+    # its first piece, then one per split round (one round here at order 2)
+    assert quads[0] == TABLE_NODES and 0 not in quads
+    assert len(quads) == (2 if order == 2 else 1)
+    monkeypatch.undo()
+    for z in zeros:
+        assert abs(gram_det(sym, z, 0.1, order=order, eta=1e-3).det) <= 1e-16
 
 
 def test_gram_scan_zeros_match_bs_roots(harmonic, window):

@@ -6,7 +6,7 @@ import pytest
 from semibs import actions, quantize
 from semibs.actions import action_series, gamma_integral
 from semibs.orbit import orbit_quadrature, trace_orbit
-from semibs.quantize import QuantizeError, bs_solve, gram_scan
+from semibs.quantize import bs_solve, gram_scan
 from semibs.symbols import EnergyWindow, builtin, from_potential
 
 
@@ -33,6 +33,20 @@ def test_order2_morse_levels_near_dissociation(quad_tol):
         assert abs(row.e_order2 - (2.0 * h * k - h * h * k * k)) <= 1e-10
 
 
+def test_a_window_just_below_dissociation_keeps_the_table_below_it():
+    # 5% of the span past e_max = 0.99 D is above D, where the well holds
+    # no orbit; the table's upper pad is halved until it stays below D
+    h, morse = 0.05, builtin("morse", {"D": 1.0, "a": 1.0})
+    window = EnergyWindow(0.5, 0.99)
+    table = bs_solve(morse, h, window, order=2, quad_tol=1e-10)
+    assert [row.n for row in table.rows] == list(range(6, 18))
+    for row in table.rows:
+        k = row.n + 0.5
+        assert abs(row.e_order2 - (2.0 * h * k - h * h * k * k)) <= 1e-10
+    _, zeros = gram_scan(morse, window, h, order=2, quad_tol=1e-10)
+    assert zeros == pytest.approx(table.energies(2), abs=1e-12)
+
+
 @pytest.mark.parametrize("sym", [builtin("quartic"),
                                  from_potential("x^2 + 0.3*x^4")],
                          ids=["quartic", "anharmonic"])
@@ -53,12 +67,15 @@ def test_gamma_derivative_is_four_oint_v_dd(sym, e):
                                         "p2": "0.1*x^2"}],
                          ids=["plain", "p1-p2"])
 def test_action_series_s2_is_the_solvers_s2(terms):
+    # the h^2 coefficient of the solver's S_eff is ActionSeries.s2, to the
+    # error of the stencil at eta = 1e-3
     sym = builtin("quartic", terms)
-    e, h, eta = 0.5, 0.05, 0.02
-    ser = action_series(sym, e, eta)
-    ev = quantize._SeriesEvaluator(sym, h, 2, eta)
-    h2_coefficient = (ev.correction(e) + h * ser.sub_principal) / (h * h)
-    assert h2_coefficient == pytest.approx(ser.s2, rel=1e-12, abs=1e-14)
+    e, h = 0.5, 0.05
+    ser = action_series(sym, e, 1e-3)
+    table = quantize.SEffTable.for_window(sym, h, 2, EnergyWindow(0.3, 0.7))
+    s1, s2 = table.value(np.array([e]), 1), table.value(np.array([e]), 2)
+    h2_coefficient = float((s2 - s1)[0]) / (h * h)
+    assert h2_coefficient == pytest.approx(ser.s2, rel=1e-8, abs=1e-9)
 
 
 def test_quantize_path_evaluates_no_gamma(monkeypatch, window):
@@ -72,26 +89,32 @@ def test_quantize_path_evaluates_no_gamma(monkeypatch, window):
     assert zeros
 
 
-class _Oscillating:
-    """S0(E) = E and a correction whose sign flips at ``pivot``, so the
-    fixed point steps back and forth by 1e-8 without contracting."""
-    order = 2
+def test_solver_s2_near_the_well_bottom_matches_a_fine_stencil(quartic):
+    """On x^4 at E = 0.07, S2 by the table's E-derivatives agrees with the
+    stencil at eta = 1e-3 (-2.2010207213); the stencil at 2% of the span
+    [0.05, 1], eta = 0.019, is off by 4.0e-5 (-2.2011092)."""
+    h = 0.05
+    table = quantize.SEffTable.for_window(quartic, h, 2,
+                                          EnergyWindow(0.05, 1.0), 1e-10)
+    s1, s2 = (table.value(np.array([0.07]), m)[0] for m in (1, 2))
+    ref = action_series(quartic, 0.07, 1e-3).s2
+    assert (s2 - s1) / (h * h) == pytest.approx(ref, rel=1e-8)
+    assert action_series(quartic, 0.07, 0.019).s2 != pytest.approx(
+        ref, rel=1e-5)
 
-    def __init__(self, pivot):
-        self.pivot = pivot
 
-    def s0(self, e):
-        return e
-
-    def correction(self, e):
-        return 1e-8 if e >= self.pivot else -1e-8
-
-
-def test_a_fixed_point_that_does_not_contract_is_refused():
-    # steps of 1e-8 and 2e-8 are far below 1e-6 (1 + |E|) but above
-    # root_tol: the level is refused, and bs_solve would scan instead
-    ev = _Oscillating(pivot=0.5)
-    es = np.array([0.0, 1.0])
-    with pytest.raises(QuantizeError, match="did not converge"):
-        quantize._solve_level(ev, 0.5, es, es, 0.5, 1e-10)
-
+def test_readme_config_splits_and_matches_action_series_roots(quartic):
+    """quartic [0.05, 1] at h = 0.05, quad_tol 1e-10 (the README's example)
+    needs several table pieces near the well bottom; every level solves
+    the condition with the fine-stencil series to 1e-9 in E."""
+    h, window = 0.05, EnergyWindow(0.05, 1.0)
+    table = quantize.SEffTable.for_window(quartic, h, 2, window, 1e-10)
+    assert len(table._lo) > 1
+    rows = bs_solve(quartic, h, window, order=2, quad_tol=1e-10).rows
+    assert [r.n for r in rows] == list(range(1, 1 + len(rows)))
+    for r in rows:
+        ser = action_series(quartic, r.e_order2, 1e-3)
+        s_eff = ser.s0 - h * ser.sub_principal + h * h * ser.s2
+        # |E - E_ref| = |S_eff(E) - target| / (dS_eff/dE), dS0/dE = period
+        assert abs(s_eff - 2.0 * np.pi * h * (r.n + 0.5)) / ser.period \
+            <= 1e-9, r.n

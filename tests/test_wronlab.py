@@ -82,6 +82,13 @@ def test_inner_product_requires_matching_grids():
         u.inner(v)
 
 
+def test_airy_exclusion_refuses_a_flat_turning_point(monkeypatch, harmonic):
+    # V' = 0 at x = 0, where a turning point would have no Airy scale
+    monkeypatch.setattr(wronlab, "turning_points", lambda sym, e: (0.0, 0.7))
+    with pytest.raises(WronlabError, match="V' = 0"):
+        airy_exclusion(harmonic, 0.49, 0.05)
+
+
 def test_airy_exclusion_scales(harmonic):
     d1 = airy_exclusion(harmonic, 0.5, 0.05)
     d2 = airy_exclusion(harmonic, 0.5, 0.025)
