@@ -346,15 +346,17 @@ def _compile(e):
     # a literal exponent is classed integer or not once, by the same test
     c = e.right.value if isinstance(e.right, Num) else None
     fractional = None if c is None else bool(c != np.floor(c))
+    # a non-negative integer literal flags neither invalid nor divide
+    flagless = fractional is False and c >= 0
 
     def power(x, xi=0.0):
         l, r = left(x, xi), (right(x, xi) if c is None else c)
         if fractional is not False and _any(l < 0) \
                 and (fractional or _any(r != np.floor(r))):
             raise ExprDomainError("fractional power of negative base", where)
-        if isinstance(l, float) and isinstance(r, float) \
-                and not (l == 0 and r < 0):  # pow flags no invalid/divide
-            return _pow(l, r)
+        if flagless or (isinstance(l, float) and isinstance(r, float)
+                        and not (l == 0 and r < 0)):
+            return _pow(l, r)   # pow flags no invalid or divide here
         with np.errstate(invalid="raise", divide="raise"):
             try:
                 return l ** r

@@ -1,19 +1,23 @@
 """Independent eigenvalue oracle: Numerov shooting with node counting.
 
-Solves -h^2 y'' + V y = E y on a Dirichlet-truncated interval.  For each
-target node count the energy is bracketed around the same-index eigenvalue
-of the 3-point finite-difference matrix on the grid (LAPACK); the bracket
-is kept only when two Sturm node counts of the Numerov sweep confirm it.
-The level is then found by brentq on the Numerov matching defect at the
-well minimum and confirmed by node counts again.  Where a bracket or a
-root is not confirmed, the range is bisected on the node count instead.
-Numerov alone decides the answer.  Grid resolution is doubled (with one
-Richardson step) until two grids agree.
+Solves -h^2 y'' + V y = E y on a Dirichlet-truncated interval.  Every
+level is bracketed by Sturm node counts of the Numerov sweep alone: on the
+base grid the energy range is bisected on the count until the bracket
+holds that level and no other, and the counts taken are shared by all the
+levels of the request.  The level is then found by brentq on the Numerov
+matching defect at the well minimum and confirmed by node counts again.
+Grid resolution is doubled (with one Richardson step) until two grids
+agree; a doubled grid first tries the previous grid's level widened by
+twice that grid's error bound, and keeps it only when two node counts
+confirm it.  Each grid, and V on it, is built once per request.
 
 The Dirichlet interval is built outward from the well minimum that
 ``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or
-``quantize``.  Each Numerov sweep is one banded triangular solve in BLAS;
-a sweep that overflows there runs again as a Python loop that rescales.
+``quantize``.  A node count is exact only where f = 1 + dx^2 (E - V) /
+(12 h^2) stays positive, so walls deep in the forbidden region are moved
+in, or the base grid refined, until it does.  Each Numerov sweep is one
+banded triangular solve in BLAS; a sweep that overflows there runs again
+as a Python loop that rescales.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
@@ -47,6 +50,9 @@ BASE_N = 2000              # points of the first grid
 MAX_LEVELS = 200           # levels solved per window at most
 GRID_AGREE_TOL = 1e-9      # relative agreement of two successive grids
 MAX_GRID_DOUBLINGS = 4
+F_MIN = 0.5                # least f = 1 + dx^2 (E - V) / (12 h^2) counted on
+TAIL_MIN = 30.0            # WKB tail exponent kept beyond a moved wall
+MAX_BASE_N = 16 * BASE_N   # points of the base grid at most
 
 
 @dataclass
@@ -216,32 +222,6 @@ def _domain(sym, h, window, cfg):
     return extend(-1), extend(+1)
 
 
-def _fd_bracket(v_grid, dx, h, e_lo, e_hi, n_target, nodes):
-    """Node-count-confirmed bracket (lo, hi) inside (e_lo, e_hi) for the
-    level with n_target nodes, or None when none is found.
-
-    The bracket is centred on the same-index eigenvalue of the 3-point
-    Dirichlet finite-difference matrix on this grid (LAPACK), with a half
-    width of a few times that stencil's error, about
-    dx^2 (E - V)^2 / (12 h^2); it is widened twice before giving up.
-    """
-    c = h * h / (dx * dx)
-    diag = 2.0 * c + v_grid[1:-1]
-    try:
-        e_fd = float(eigvalsh_tridiagonal(
-            diag, np.full(diag.size - 1, -c), select="i",
-            select_range=(n_target, n_target))[0])
-    except (ValueError, np.linalg.LinAlgError):
-        return None
-    half = 4.0 * (e_fd - float(np.min(v_grid))) ** 2 / (12.0 * c)
-    for _ in range(3):
-        lo, hi = max(e_fd - half, e_lo), min(e_fd + half, e_hi)
-        if lo < hi and nodes(lo) <= n_target < nodes(hi):
-            return lo, hi
-        half *= 16.0
-    return None
-
-
 def _defect_root(defect, lo, hi, tol):
     """brentq root of the defect in [lo, hi]; None without a sign change."""
     d_lo, d_hi = defect(lo), defect(hi)
@@ -251,35 +231,65 @@ def _defect_root(defect, lo, hi, tol):
     return None
 
 
-def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol):
+def _isolate(nodes, counts, e_lo, e_hi, n_target):
+    """Sturm bracket (lo, hi) of the level with n_target nodes inside
+    (e_lo, e_hi): nodes(lo) == n_target and nodes(hi) == n_target + 1.
+
+    Bisects on the node count from the tightest bracket that the counts
+    already taken on the grid hold; stops early only when the bracket is
+    narrower than 1e-13 (1 + |E|), where two levels are not told apart."""
+    if nodes(e_lo) > n_target or nodes(e_hi) <= n_target:
+        raise OracleError(
+            f"level with {n_target} nodes is not inside ({e_lo}, {e_hi})")
+    lo = max(e for e, c in counts.items() if c <= n_target and e_lo <= e)
+    hi = min(e for e, c in counts.items() if c > n_target and e <= e_hi)
+    while counts[lo] < n_target or counts[hi] > n_target + 1:
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-13 * (1.0 + abs(mid)):
+            break
+        if nodes(mid) <= n_target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol,
+                   guess=None, counts=None):
     """Find the eigenvalue with n_target nodes in (e_lo, e_hi).
 
-    The level is bracketed by `_fd_bracket` and found by brentq on the
-    matching defect; the root is kept only when node counts on either
-    side of it confirm the level.  Otherwise the bracket, or the whole of
-    (e_lo, e_hi), is bisected on the node count first.
+    The level is found by brentq on the matching defect inside a Sturm
+    bracket, whose node counts are n_target at its lower end and
+    n_target + 1 at its upper end, so that it holds this level alone.  The
+    bracket is `guess` when its two counts confirm it; otherwise (e_lo,
+    e_hi) is bisected on the node count until it isolates the level.
+    `counts` maps energies to the node counts already taken on this grid;
+    the bisection starts from the tightest bracket in it, and every count
+    taken here is added to it.  The root is kept only when node counts on
+    either side of it confirm the level; otherwise the bracket is bisected
+    on the node count down to the tolerance first.
     """
     pref = dx * dx / (12.0 * h * h)
+    counts = {} if counts is None else counts
 
     def defect(e):
         return _shoot(pref * (e - v_grid), i_match)
 
     def nodes(e):
-        return _count_nodes(pref * (e - v_grid))
+        if e not in counts:
+            counts[e] = _count_nodes(pref * (e - v_grid))
+        return counts[e]
 
-    bracket = _fd_bracket(v_grid, dx, h, e_lo, e_hi, n_target, nodes)
-    if bracket is None:
-        lo, hi = e_lo, e_hi
-        if nodes(lo) > n_target or nodes(hi) <= n_target:
-            raise OracleError(
-                f"level with {n_target} nodes is not inside ({e_lo}, {e_hi})")
-    else:
-        lo, hi = bracket
-        e = _defect_root(defect, lo, hi, tol)
-        if e is not None:
-            eps = max(2.0 * tol, 1e-13 * (1.0 + abs(e)))
-            if nodes(e - eps) <= n_target < nodes(e + eps):
-                return e
+    if guess is not None:
+        lo, hi = max(guess[0], e_lo), min(guess[1], e_hi)
+    if guess is None or not (lo < hi and nodes(lo) == n_target
+                             and nodes(hi) == n_target + 1):
+        lo, hi = _isolate(nodes, counts, e_lo, e_hi, n_target)
+    e = _defect_root(defect, lo, hi, tol)
+    if e is not None:
+        eps = max(2.0 * tol, 1e-13 * (1.0 + abs(e)))
+        if nodes(e - eps) <= n_target < nodes(e + eps):
+            return e
     # bisect on node count: lo has <= n_target nodes, hi has more
     for _ in range(240):
         mid = 0.5 * (lo + hi)
@@ -324,30 +334,123 @@ def eigenfunction(sym, h, e, xl, xr, n_pts):
     return xs, y / m if m > 0 else y
 
 
+@dataclass
+class _Grid:
+    """One grid of a request: V on it, its spacing, and the node counts
+    taken on it so far (energy -> count)."""
+    v: np.ndarray
+    dx: float
+
+    def __post_init__(self):
+        self.i_match = int(np.argmin(self.v))
+        self.v_floor = float(self.v[self.i_match])
+        self.counts = {}
+
+    def f_min(self, h):
+        """Least f = 1 + dx^2 (E - V) / (12 h^2) over the grid, at the
+        lowest energy a level search reaches, just below min V."""
+        pref = self.dx * self.dx / (12.0 * h * h)
+        return 1.0 + pref * (self.v_floor - 1e-12 - float(np.max(self.v)))
+
+
+def _grid(sym, xl, xr, n):
+    xs = np.linspace(xl, xr, n)
+    return _Grid(np.asarray(sym.v(xs) + 0.0 * xs, dtype=float), xs[1] - xs[0])
+
+
+class _Grids:
+    """The grids of one request on (xl, xr): the base grid, then up to
+    MAX_GRID_DOUBLINGS doublings.  Each doubled grid is built, with V on
+    it, when a level first needs it, and kept for the rest of the
+    request."""
+
+    def __init__(self, sym, xl, xr, base):
+        self._sym, self._xl, self._xr = sym, xl, xr
+        self._built = [base]
+
+    def __iter__(self):
+        for i in range(MAX_GRID_DOUBLINGS + 1):
+            if i == len(self._built):
+                n = 2 * (self._built[-1].v.size - 1) + 1
+                self._built.append(_grid(self._sym, self._xl, self._xr, n))
+            yield self._built[i]
+
+
+def _tail_wall(sym, h, x0, wall, e_top):
+    """The point between x0 and the wall past which the WKB tail at e_top,
+    the integral of sqrt(V - e_top) / h from its turning point, exceeds
+    TAIL_MIN; the wall itself when the tail stays below that.
+
+    The tail is summed by trapezoids over offsets from x0 that halve, in
+    quarter steps, from the wall down to 2^-1000 of its distance, so a
+    well of any width is resolved."""
+    s = abs(wall - x0) * 2.0 ** -np.arange(1000.0, -0.25, -0.25)
+    xs = x0 + math.copysign(1.0, wall - x0) * s
+    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    kappa = np.sqrt(np.maximum(v - e_top, 0.0)) / h
+    tail = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(s))
+    i = int(np.searchsorted(tail, TAIL_MIN))   # tail never decreases
+    return float(xs[i + 1]) if i < tail.size else wall
+
+
+def _base_grid(sym, h, window, xl, xr):
+    """The base grid, and its walls, on which every node count is exact.
+
+    Where f = 1 + dx^2 (E - V) / (12 h^2) < 0 the Numerov recurrence flips
+    sign at every step and the count gains nodes that no level has.  So
+    every energy searched must keep f >= F_MIN.  When BASE_N points on
+    (xl, xr) do not, each wall moves in to where the WKB tail beyond the
+    highest energy searched reaches TAIL_MIN, which shifts a level by about
+    exp(-2 TAIL_MIN) of a spacing; if f is still too small there, the grid
+    is refined, up to MAX_BASE_N points."""
+    g = _grid(sym, xl, xr, BASE_N)
+    if g.f_min(h) >= F_MIN:
+        return g, xl, xr
+    e_top = window.e_max + 2.0 * _base_grid_error(
+        window.e_max - g.v_floor, g.dx, h)
+    x0 = well_minimum(sym.potential, window.e_max)[0]
+    xl, xr = (_tail_wall(sym, h, x0, wall, e_top) for wall in (xl, xr))
+    n = BASE_N
+    while True:
+        g = _grid(sym, xl, xr, n)
+        f = g.f_min(h)
+        if f >= F_MIN:
+            return g, xl, xr
+        # f - 1 scales as dx^2; aim 5% inside F_MIN, as max V may grow
+        n = 1 + 1.05 * (n - 1) * math.sqrt((1.0 - f) / (1.0 - F_MIN))
+        if not n <= MAX_BASE_N:   # also when V is not finite on the grid
+            raise OracleError(
+                f"the Numerov grid would need {n:.3g} points to keep its "
+                f"node counts exact on ({xl}, {xr})")
+        n = math.ceil(n)
+
+
 def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
     """Eigenvalues of -h^2 d^2/dx^2 + V in the window, sorted ascending."""
     cfg = cfg or OracleConfig()
-    xl, xr = _domain(sym, h, window, cfg)
-    xs = np.linspace(xl, xr, BASE_N)
-    v0 = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
-    dx = xs[1] - xs[0]
-    pref = dx * dx / (12.0 * h * h)
-    v_floor = float(np.min(v0))
+    base, xl, xr = _base_grid(sym, h, window,
+                              *_domain(sym, h, window, cfg))
+    grids = _Grids(sym, xl, xr, base)
+    v_floor = base.v_floor
     # A level that the base grid puts within its own error of a window edge
     # may refine to the other side of that edge: count the levels within
     # that error of the window, and let the finer grids look for them up to
-    # twice the error above it.
-    err_lo = _base_grid_error(window.e_min - v_floor, dx, h)
-    err_hi = _base_grid_error(window.e_max - v_floor, dx, h)
-    n_min, n_max = (_count_nodes(pref * (e - v0))
-                    for e in (window.e_min - err_lo, window.e_max + err_hi))
+    # twice the error above it.  Below min V no level lies.
+    err_lo = _base_grid_error(window.e_min - v_floor, base.dx, h)
+    err_hi = _base_grid_error(window.e_max - v_floor, base.dx, h)
+    pref = base.dx * base.dx / (12.0 * h * h)
+    e_count = (max(window.e_min - err_lo, v_floor), window.e_max + err_hi)
+    for e in e_count:
+        base.counts[e] = _count_nodes(pref * (e - base.v))
+    n_min, n_max = (base.counts[e] for e in e_count)
     n_max = min(n_max, n_min + MAX_LEVELS)
 
     results = []
     counts = []
     for n_nodes in range(n_min, n_max):
-        e = _refined_level(sym, h, xl, xr, v_floor,
-                           window.e_max + 2.0 * err_hi, n_nodes, cfg)
+        e = _refined_level(grids, h, n_nodes, v_floor - 1e-12,
+                           window.e_max + 2.0 * err_hi + 1e-12,
+                           cfg.shoot_tol)
         if window.e_min <= e <= window.e_max:
             results.append(e)
             counts.append(n_nodes)
@@ -367,22 +470,24 @@ def _base_grid_error(de, dx, h):
     return q * q * de / 24.0
 
 
-def _refined_level(sym, h, xl, xr, e_lo, e_hi, n_nodes, cfg):
-    """One eigenvalue with grid-doubling Richardson refinement."""
-    n = BASE_N
-    prev = None
-    for _ in range(MAX_GRID_DOUBLINGS + 1):
-        xs = np.linspace(xl, xr, n)
-        v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
-        i_match = int(np.argmin(v))
-        dx = xs[1] - xs[0]
-        e = _solve_on_grid(v, dx, h, i_match, e_lo - 1e-12, e_hi + 1e-12,
-                           n_nodes, cfg.shoot_tol)
+def _refined_level(grids, h, n_nodes, e_lo, e_hi, tol):
+    """One eigenvalue, solved on each grid in turn until two agree, with
+    one Richardson step.
+
+    A doubled grid first tries the bracket of twice the previous grid's
+    error bound around the previous level, and isolates the level in
+    (e_lo, e_hi) only when the node counts refuse that bracket."""
+    prev = guess = None
+    for g in grids:
+        e = _solve_on_grid(g.v, g.dx, h, g.i_match, e_lo, e_hi, n_nodes,
+                           tol, guess, g.counts)
         if prev is not None:
             rich = (16.0 * e - prev) / 15.0
             if abs(e - prev) / 15.0 <= GRID_AGREE_TOL * (1.0 + abs(e)):
                 return rich
         prev = e
-        n = 2 * (n - 1) + 1
+        half = 2.0 * _base_grid_error(e - g.v_floor, g.dx, h) \
+            + 1e-12 * (1.0 + abs(e))
+        guess = (e - half, e + half)
     raise OracleError(
         f"oracle did not converge under grid refinement (level {n_nodes})")

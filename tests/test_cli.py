@@ -269,6 +269,35 @@ def test_a_window_behind_a_low_barrier_has_no_oracle(tmp_path, capsys):
     assert all(r[3] and r[4:] == ["", "", ""] for r in rows)
 
 
+MORSE_EDGE_CONFIG = """\
+[problem]
+potential = "(1 - exp(-x))^2"
+hbar = 0.05
+energy_min = 0.5
+energy_max = 0.999
+"""
+
+
+def test_a_morse_window_below_dissociation_has_exact_oracle_levels(
+        tmp_path, capsys):
+    # V = 84 at the left wall: on 2000 points f = 1 + dx^2 (E - V) / (12 h^2)
+    # was -0.89 there, and node counts found 28 levels below 0.999, not 19
+    def exact(n):
+        return 0.1 * (n + 0.5) - 0.0025 * (n + 0.5) ** 2
+
+    cfg = _write(tmp_path, MORSE_EDGE_CONFIG)
+    assert main(["oracle", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    levels = dict(line.split(",") for line in lines[1:])
+    assert [int(n) for n in levels] == list(range(6, 19))
+    for n, e in levels.items():
+        assert float(e) == pytest.approx(exact(int(n)), abs=1e-9)
+    rows = _spectrum_rows(tmp_path, capsys, MORSE_EDGE_CONFIG)
+    assert [int(r[0]) for r in rows] == list(range(6, 19))
+    for r in rows:
+        assert float(r[4]) == pytest.approx(exact(int(r[0])), abs=1e-9)
+
+
 def test_wronskian_check_solves_each_turning_point_once(tmp_path, capsys,
                                                          monkeypatch):
     orbit._turning_points.cache_clear()

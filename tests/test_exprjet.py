@@ -423,6 +423,26 @@ def test_scalar_power_takes_what_the_array_gets():
         assert evaluate(steep, np.array([-(2.0 ** 40)]))[0] == -np.inf
 
 
+def test_power_domain_errors_with_and_without_errstate():
+    # a non-negative integer literal exponent skips np.errstate; every
+    # other power still raises where the value is undefined
+    zero = np.array([0.0, 1.0])
+    for text, x in (("0^-1", 0.5), ("(-1)^0.5", 0.5), ("x^-1", 0.0),
+                    ("0^-1", zero), ("(-1)^0.5", zero), ("x^-1", zero)):
+        with pytest.raises(ExprDomainError):
+            evaluate(parse(text), x)
+    xs = np.array([0.0, -0.0, -1.5, 2.0, 1e200, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for k in (0, 1, 2, 3, 4, 31):
+            got = evaluate(parse(f"x^{k}"), xs)
+            assert np.array_equal(got, xs ** float(k), equal_nan=True)
+            for x in xs:
+                assert np.array_equal(evaluate(parse(f"x^{k}"), float(x)),
+                                      np.float64(x) ** float(k),
+                                      equal_nan=True)
+
+
 def test_compiled_derivs2_matches_the_tree_walk(rng):
     # x-only trees: the random generator's xi replaced by a constant
     texts = [(_random_expr_text(rng).replace("xi", "0.7"),

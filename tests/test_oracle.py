@@ -10,7 +10,7 @@ from semibs import oracle, orbit
 from semibs.oracle import (OracleConfig, _solve_on_grid,
                            eigenfunction, oracle_spectrum)
 from semibs.quantize import convergence_fit
-from semibs.symbols import EnergyWindow, builtin
+from semibs.symbols import EnergyWindow, HamiltonianSymbol, builtin
 
 
 def test_harmonic_spectrum(harmonic, window):
@@ -103,12 +103,29 @@ def test_no_extra_level_solve_away_from_the_window_edges(monkeypatch,
     solved = []
     refined_level = oracle._refined_level
 
-    def counted(*args):
-        solved.append(args[6])
-        return refined_level(*args)
+    def counted(grids, h, n_nodes, *rest):
+        solved.append(n_nodes)
+        return refined_level(grids, h, n_nodes, *rest)
 
     monkeypatch.setattr(oracle, "_refined_level", counted)
     # edges half-way between the levels 0.15, 0.25, 0.35, 0.45
     energies = oracle_spectrum(harmonic, 0.05, EnergyWindow(0.1, 0.5))
     assert energies == pytest.approx([0.15, 0.25, 0.35, 0.45], abs=1e-9)
     assert solved == [1, 2, 3, 4]
+
+
+def test_v_is_evaluated_once_per_grid_per_request(monkeypatch, harmonic,
+                                                  window):
+    grid_sizes = []
+    v = HamiltonianSymbol.v
+
+    def recorded(self, x):
+        if np.size(x) >= oracle.BASE_N:
+            grid_sizes.append(np.size(x))
+        return v(self, x)
+
+    monkeypatch.setattr(HamiltonianSymbol, "v", recorded)
+    energies = oracle_spectrum(harmonic, 0.05, window)
+    assert len(energies) == 9
+    # the base grid and its doubling, each once for all nine levels
+    assert grid_sizes == [oracle.BASE_N, 2 * oracle.BASE_N - 1]

@@ -1,18 +1,19 @@
-"""The oracle's per-grid level solve: LAPACK brackets, their fallback and
-the contract that a level outside (e_lo, e_hi) is refused."""
+"""The oracle's per-grid level solve: Sturm brackets from node counts alone,
+the doubled grid's guessed bracket and its fallback, and the contract that a
+level outside (e_lo, e_hi) is refused."""
 
 import numpy as np
 import pytest
 
 from semibs import oracle
-from semibs.oracle import (OracleConfig, OracleError, _count_nodes,
-                           _domain, _fd_bracket, _solve_on_grid)
+from semibs.oracle import (OracleConfig, OracleError, _base_grid_error,
+                           _count_nodes, _domain, _isolate, _solve_on_grid)
 from semibs.symbols import builtin
 
 
-def _base_grid(sym, h, window):
+def _grid(sym, h, window, n=oracle.BASE_N):
     xl, xr = _domain(sym, h, window, OracleConfig())
-    xs = np.linspace(xl, xr, oracle.BASE_N)
+    xs = np.linspace(xl, xr, n)
     v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
     return v, xs[1] - xs[0], int(np.argmin(v))
 
@@ -41,46 +42,87 @@ def wells(window):
     h = 0.1
     out = []
     for sym in (builtin("quartic"), builtin("morse", {"D": 3.0, "a": 0.5})):
-        v, dx, i_match = _base_grid(sym, h, window)
+        v, dx, i_match = _grid(sym, h, window)
         nodes = _node_counter(v, dx, h)
         levels = range(nodes(window.e_min), nodes(window.e_max))
         # the range the oracle itself searches for every level
         e_range = (float(np.min(v)) - 1e-12, window.e_max + 1e-12)
-        out.append((v, dx, h, i_match, nodes, levels, e_range))
+        out.append((sym, v, dx, h, i_match, nodes, levels, e_range))
     return out
+
+
+def _isolations(monkeypatch):
+    """Record every bisection that isolates a level."""
+    calls = []
+    isolate = oracle._isolate
+
+    def recorded(*args):
+        calls.append(args[-1])
+        return isolate(*args)
+
+    monkeypatch.setattr(oracle, "_isolate", recorded)
+    return calls
 
 
 def test_bracketed_levels_match_node_count_bisection(wells):
     tol = oracle.GRID_AGREE_TOL
-    for v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
+    for _, v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
         assert len(levels) >= 5
+        counts = {}  # shared by the levels, as on one grid of a request
+
+        def counted(e):
+            if e not in counts:
+                counts[e] = nodes(e)
+            return counts[e]
+
         for n in levels:
-            bracket = _fd_bracket(v, dx, h, e_lo, e_hi, n, nodes)
-            assert bracket is not None
-            lo, hi = bracket
-            assert nodes(lo) <= n < nodes(hi)
+            lo, hi = _isolate(counted, counts, e_lo, e_hi, n)
+            assert (nodes(lo), nodes(hi)) == (n, n + 1)
             e = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n, 1e-12)
             ref = _bisected_level(nodes, n, e_lo, e_hi)
             assert abs(e - ref) <= tol * (1.0 + abs(ref))
 
 
+def test_a_confirmed_guess_on_the_doubled_grid_is_kept(wells, window,
+                                                       monkeypatch):
+    """The base level, widened by twice its error bound, brackets the same
+    level on the doubled grid; no bisection isolates it there."""
+    for sym, v, dx, h, i_match, _, levels, (e_lo, e_hi) in wells:
+        v2, dx2, i_match2 = _grid(sym, h, window, 2 * oracle.BASE_N - 1)
+        nodes2 = _node_counter(v2, dx2, h)
+        for n in levels:
+            e0 = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n, 1e-12)
+            half = 2.0 * _base_grid_error(e0 - float(np.min(v)), dx, h) \
+                + 1e-12 * (1.0 + abs(e0))
+            guess = (e0 - half, e0 + half)
+            assert (nodes2(guess[0]), nodes2(guess[1])) == (n, n + 1)
+            isolated = _solve_on_grid(v2, dx2, h, i_match2, e_lo, e_hi, n,
+                                      1e-12)
+            calls = _isolations(monkeypatch)
+            e = _solve_on_grid(v2, dx2, h, i_match2, e_lo, e_hi, n, 1e-12,
+                               guess)
+            assert calls == []
+            assert abs(e - isolated) <= 1e-11 * (1.0 + abs(e))
+            monkeypatch.undo()
+
+
 def test_unconfirmed_bracket_falls_back_to_bisection(wells, monkeypatch):
-    """A LAPACK value for the wrong level leaves no confirmed bracket; the
-    solve then bisects the whole range and still finds the right level."""
-    lapack = oracle.eigvalsh_tridiagonal
-
-    def next_level(d, e, select, select_range):
-        i = select_range[0] + 1
-        return lapack(d, e, select=select, select_range=(i, i))
-
-    monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", next_level)
-    tol = oracle.GRID_AGREE_TOL
-    for v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
+    """A guess that holds the next level, not this one, is refused by its
+    node counts; the solve then isolates the level on the node count and
+    finds the same level as without a guess."""
+    for _, v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
         n = levels[1]
-        assert _fd_bracket(v, dx, h, e_lo, e_hi, n, nodes) is None
-        e = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n, 1e-12)
-        ref = _bisected_level(nodes, n, e_lo, e_hi)
-        assert abs(e - ref) <= tol * (1.0 + abs(ref))
+        e_next = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n + 1, 1e-12)
+        ref = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n, 1e-12)
+        guess = (e_next - 1e-6, e_next + 1e-6)
+        assert (nodes(guess[0]), nodes(guess[1])) == (n + 1, n + 2)
+        calls = _isolations(monkeypatch)
+        e = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n, 1e-12, guess)
+        assert calls == [n]
+        assert abs(e - ref) <= 1e-11 * (1.0 + abs(ref))
+        assert abs(e - _bisected_level(nodes, n, e_lo, e_hi)) <= \
+            oracle.GRID_AGREE_TOL * (1.0 + abs(e))
+        monkeypatch.undo()
 
 
 def test_level_outside_the_range_is_refused(harmonic):
@@ -95,5 +137,9 @@ def test_level_outside_the_range_is_refused(harmonic):
     for e_lo, e_hi in ((0.05, 0.25), (0.35, 1.0), (0.31, 0.49)):
         with pytest.raises(OracleError):
             _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, 1, 1e-12)
+        # a guess that holds the level does not widen the range
+        with pytest.raises(OracleError):
+            _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, 1, 1e-12,
+                           guess=(0.29, 0.31))
     with pytest.raises(OracleError):  # more levels than grid points
         _solve_on_grid(v, dx, h, i_match, 0.05, 1.0, xs.size, 1e-12)

@@ -1,13 +1,14 @@
 """The oracle's Numerov sweeps as banded BLAS solves, held to the Python
-loops they replace, and the Dirichlet interval that they run on."""
+loops they replace, and the Dirichlet interval and base grid that they run
+on."""
 
 import numpy as np
 import pytest
 
 from semibs import oracle
-from semibs.oracle import (ConfinementError, OracleConfig, _count_nodes,
-                           _count_nodes_loop, _domain, _shoot, _shoot_loop,
-                           _sweep)
+from semibs.oracle import (ConfinementError, OracleConfig, OracleError,
+                           _base_grid, _count_nodes, _count_nodes_loop,
+                           _domain, _grid, _shoot, _shoot_loop, _sweep)
 from semibs.symbols import EnergyWindow, builtin, from_potential
 
 WELLS = {
@@ -111,3 +112,37 @@ def test_morse_asymptote_walls_are_unchanged():
         == (-3.1839999999999997, 8.7495424)
     assert _domain(sym, 0.1, EnergyWindow(2.0, 2.95), OracleConfig()) \
         == (-3.1839999999999997, 60.870753361919995)
+
+
+def test_walls_deep_in_the_forbidden_region_move_in(window):
+    # V = 84 at the left wall of the Morse interval: on BASE_N points f
+    # falls to -0.89 there, so that wall moves in to where the WKB tail
+    # reaches TAIL_MIN; the right wall, on the asymptote V -> 1 below the
+    # highest energy searched, stays
+    sym = from_potential("(1 - exp(-x))^2")
+    h, edge = 0.05, EnergyWindow(0.5, 0.999)
+    xl, xr = _domain(sym, h, edge, OracleConfig())
+    assert _grid(sym, xl, xr, oracle.BASE_N).f_min(h) < 0.0
+    base, left, right = _base_grid(sym, h, edge, xl, xr)
+    assert xl < left < -1.0 and right == xr
+    assert base.v.size == oracle.BASE_N and base.f_min(h) >= oracle.F_MIN
+    # a well-resolved interval is left as it is
+    sym = builtin("harmonic")
+    xl, xr = _domain(sym, 0.1, window, OracleConfig())
+    base, left, right = _base_grid(sym, 0.1, window, xl, xr)
+    assert (left, right, base.v.size) == (xl, xr, oracle.BASE_N)
+
+
+def test_a_grid_too_coarse_for_exact_counts_is_refined_up_to_a_cap(
+        monkeypatch, window):
+    # walls at +-30 where the tail test cannot move them: V = 900 there,
+    # and f = 1 - dx^2 900 / (12 h^2) = -5.8 on BASE_N points
+    sym, h = builtin("harmonic"), 0.1
+    monkeypatch.setattr(oracle, "TAIL_MIN", np.inf)
+    base, left, right = _base_grid(sym, h, window, -30.0, 30.0)
+    assert (left, right) == (-30.0, 30.0)
+    assert base.v.size > 3 * oracle.BASE_N
+    assert base.f_min(h) >= oracle.F_MIN
+    monkeypatch.setattr(oracle, "MAX_BASE_N", base.v.size - 1)
+    with pytest.raises(OracleError, match="would need"):
+        _base_grid(sym, h, window, -30.0, 30.0)
