@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import sys
 from dataclasses import dataclass, field
@@ -19,8 +20,7 @@ import numpy as np
 from . import wronlab
 from .exprjet import (ExprDomainError, ExprSyntaxError, is_zero_expr,
                       variables)
-from .oracle import (ConfinementError, OracleConfig, OracleError,
-                     oracle_spectrum)
+from .oracle import OracleConfig, OracleError, oracle_spectrum
 from .orbit import ConvergenceError, OrbitError, turning_points
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
                        convergence_fit, gram_scan)
@@ -211,7 +211,8 @@ def cmd_spectrum(cfg, out):
                      quad_tol=cfg.quad_tol, root_tol=cfg.root_tol)
     try:
         levels = _oracle_levels(cfg, sym, h)
-    except ConfinementError:  # no oracle operator: the columns stay blank
+    except OracleError as exc:  # the levels stand, the oracle columns blank
+        print(f"warning: oracle columns left blank: {exc}", file=sys.stderr)
         levels = None
     if levels is not None:
         attach_oracle(table, levels)
@@ -338,7 +339,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="semibs",
         description="Semiclassical spectra of one-dimensional wells")
@@ -359,8 +362,11 @@ def main(argv=None):
         if args.order is not None:
             cfg.order = args.order
         if args.hbar is not None:
-            cfg.hbar = [float(tok) for tok in args.hbar.split(",")
-                        if tok.strip()]
+            try:
+                cfg.hbar = _parse_hbar(args.hbar)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --hbar: {args.hbar!r}") \
+                    from exc
         cfg.validate()
         buf = io.StringIO()
         code = _COMMANDS[args.subcommand](cfg, buf)

@@ -61,14 +61,15 @@ class OracleConfig:
     shoot_tol: float = 1e-12
 
 
-def _sweep(f):
-    """Numerov sweep y_1 .. y_{m} from y_0 = 0, y_1 = 1e-10, for f = 1 + k of
-    length m + 1, as one banded forward substitution (BLAS dtbsv).
+def _sweep(f, y0=0.0, y1=1e-10):
+    """Numerov sweep y_1 .. y_{m} from the starting pair (y_0, y_1), for
+    f = 1 + k of length m + 1, as one banded forward substitution (BLAS
+    dtbsv).  The oracle's shots start from the Dirichlet pair (0, 1e-10).
 
     The recurrence f_{i+1} y_{i+1} - (12 - 10 f_i) y_i + f_{i-1} y_{i-1} = 0
     is a lower-triangular system of bandwidth 2 in y_1 .. y_m; row 0 pins
-    y_1.  Nothing rescales the run, so a value may overflow: callers check
-    that the result is finite.
+    y_1, and y_0 enters the right-hand side of row 1.  Nothing rescales the
+    run, so a value may overflow: callers check that the result is finite.
     """
     m = f.size - 1
     ab = np.empty((3, m), order="F")   # lower band storage, by column
@@ -77,7 +78,9 @@ def _sweep(f):
     ab[1] = 10.0 * f[1:] - 12.0
     ab[2] = f[1:]
     y = np.zeros(m)
-    y[0] = 1e-10
+    y[0] = y1
+    if y0 and m > 1:
+        y[1] = -f[0] * y0
     return dtbsv(2, ab, y, lower=1)
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .exprjet import compiled, compiled_derivs2, jet_eval
@@ -217,7 +216,12 @@ def _period_estimate(sym, e, xl, xr, n=96):
 
 
 def trace_orbit(sym, e, rtol=1e-12, atol=1e-14):
-    """Trace one period of the Hamilton flow starting at (x_right, 0)."""
+    """Trace one period of the Hamilton flow starting at (x_right, 0).
+
+    scipy.integrate is imported here, so that only this reference path
+    loads it."""
+    from scipy.integrate import solve_ivp
+
     xl, xr = turning_points(sym, e)
     t_est = _period_estimate(sym, e, xl, xr)
 
@@ -380,27 +384,34 @@ def _quadrature(sym, es, xl, xr, fs, rel_tol):
     vals = np.empty((1 + len(fs), m))
     rows = np.arange(m)   # where the energies still refining sit
     n = QUAD_NODES
-    prev, prev_parts = integrals(n)
-    for _ in range(QUAD_REFINEMENTS):
-        n *= 2
-        cur, parts = integrals(n)
-        diff, tol = np.abs(cur - prev), rel_tol * (1.0 + np.abs(cur))
-        done = np.all(diff <= tol, axis=0)
-        miss = ~done
-        if miss.any():   # the floor only where a doubling misses rel_tol
-            floor = tol[:, miss] + rounding_floor(rows_of(parts, miss)) \
-                + rounding_floor(rows_of(prev_parts, miss))
-            done[miss] = np.all(diff[:, miss] <= floor, axis=0)
-        if done.all() and len(rows) == m:
-            return cur[0], list(cur[1:])
-        if done.any():
-            vals[:, rows[done]] = cur[:, done]
-            if done.all():
-                return vals[0], list(vals[1:])
-            more = ~done
-            rows, e, mid, rad = rows[more], e[more], mid[more], rad[more]
-            cur, parts = cur[:, more], [p[more] for p in parts]
-        prev, prev_parts = cur, parts
+    # a potential too large for floats (1e200 x^2) overflows in the
+    # integrands: the error below names it instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev, prev_parts = integrals(n)
+        for _ in range(QUAD_REFINEMENTS):
+            n *= 2
+            cur, parts = integrals(n)
+            diff, tol = np.abs(cur - prev), rel_tol * (1.0 + np.abs(cur))
+            done = np.all(diff <= tol, axis=0)
+            miss = ~done
+            if miss.any():   # the floor only where a doubling misses rel_tol
+                floor = tol[:, miss] + rounding_floor(rows_of(parts, miss)) \
+                    + rounding_floor(rows_of(prev_parts, miss))
+                done[miss] = np.all(diff[:, miss] <= floor, axis=0)
+            if done.all() and len(rows) == m:
+                return cur[0], list(cur[1:])
+            if done.any():
+                vals[:, rows[done]] = cur[:, done]
+                if done.all():
+                    return vals[0], list(vals[1:])
+                more = ~done
+                rows, e, mid, rad = rows[more], e[more], mid[more], rad[more]
+                cur, parts = cur[:, more], [p[more] for p in parts]
+            prev, prev_parts = cur, parts
+    bad = rows[~np.all(np.isfinite(prev), axis=0)]
+    if bad.size:
+        raise ConvergenceError("orbit quadrature overflowed: its integrals "
+                               f"are not finite at E = {np.ravel(es)[bad[0]]}")
     raise ConvergenceError("orbit quadrature did not converge "
                            f"after {QUAD_REFINEMENTS} refinements "
                            f"at E = {np.ravel(es)[rows[0]]}")

@@ -5,24 +5,33 @@ applies (i/h)[P, chi] with smooth compactly-supported cutoffs, and checks
 the flux normalization, cutoff independence, and the 2x2 Gram matrix of
 the two turning-point solutions against the closed form -cos^2(S/h).
 
-Every branch phase, and the half action S(a', a) of the Gram check, comes
-from one phase record per (V, E, h, grid), memoised: the grid check, V on
-the grid, the GL5 cumulative integral of xi_+ = sqrt(E - V) along the grid,
-and the two short offsets from the turning points to the grid ends
-(quad after y = x_tp + s u^2).  So one wronskian-check request integrates
-xi_+ once along its grid and twice near the turning points.
+One wronskian-check request computes each piece once, through three small
+memos keyed on the symbol, the grid and what else the piece depends on:
+
+- the phase record of (V, E, h, grid): the grid check, V on the grid, the
+  GL5 cumulative integral of xi_+ = sqrt(E - V) along the grid, and the two
+  short offsets from the turning points to the grid ends (Gauss-Legendre
+  after y = x_tp + s u^2, the node count doubled until it converges);
+- the cutoff profile of (V, chi, grid): chi, chi', chi'' and V on the grid,
+  and the check that the transition keeps clear of the grid edges;
+- the branch fluxes of (V, E, h, basepoint, chi, order, grid): the two
+  branches u_+-, and F_+- = (i/h)[P, chi] u_+-, shared by the flux-norm,
+  cutoff-independence and Gram checks.
+
+The exact solutions of the commutator identity check come from the
+oracle's Numerov sweep, one banded solve per solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
-from .exprjet import compiled, evaluate, is_zero_expr
+from .exprjet import evaluate, is_zero_expr
+from .oracle import _sweep
 from .orbit import turning_points
 
 
@@ -283,17 +292,45 @@ def _cumulative_integral(f, xs):
     return np.concatenate([[0.0], np.cumsum(cells)])
 
 
+OFFSET_NODES = 8           # first Gauss-Legendre node count of an offset
+OFFSET_MAX_NODES = 1024    # node count at which an offset gives up
+
+
+@lru_cache(maxsize=None)
+def _gl_unit(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _offset_from_turning_point(g, base, x0):
     """int_base^x0 g(y) dy where g may carry a sqrt-type singularity at the
-    turning point ``base``; the substitution y = base + s u^2 makes the
-    integrand smooth, so quad's error estimate is trustworthy."""
+    turning point ``base``; g must accept arrays.
+
+    The substitution y = base + s u^2 makes the integrand smooth in u, so
+    Gauss-Legendre in u converges fast: the node count doubles from
+    OFFSET_NODES until two successive values agree to 1e-12 relative or
+    1e-14 absolute, and WronlabError is raised if they never do."""
     if x0 == base:
         return 0.0
     s = -1.0 if x0 < base else 1.0
     u_max = math.sqrt(abs(x0 - base))
-    val, _ = quad(lambda u: 2.0 * s * u * g(base + s * u * u), 0.0, u_max,
-                  epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+    prev = None
+    n = OFFSET_NODES
+    while n <= OFFSET_MAX_NODES:
+        t, w = _gl_unit(n)
+        u = u_max * t
+        val = u_max * float(np.dot(w, 2.0 * s * u * g(base + s * u * u)))
+        if prev is not None and abs(val - prev) <= max(1e-14,
+                                                       1e-12 * abs(val)):
+            return val
+        prev = val
+        n *= 2
+    raise WronlabError(
+        f"the offset from the turning point {base!r} to {x0!r} did not "
+        f"converge on {OFFSET_MAX_NODES} Gauss-Legendre nodes")
 
 
 PHASE_CACHE_SIZE = 4   # (symbol, E, h, grid) phase records remembered
@@ -386,8 +423,7 @@ def build_wkb(sym, e, h, basepoint="a", rho=+1, order=0, xs=None):
             return evaluate(sym.p1, y, xi) / (2.0 * xi) + 0.0 * y
 
         q_cum = _cumulative_integral(q, xs)
-        off1 = _offset_from_turning_point(lambda y: float(q(y)[0]),
-                                          base, float(xs[0]))
+        off1 = _offset_from_turning_point(q, base, float(xs[0]))
         phase = phase - h * (off1 + q_cum)
 
     sigma = 1.0 if basepoint == "a" else -1.0
@@ -438,6 +474,40 @@ CHECK_FLOOR = 1e-8
 CHECK_FD_CONST = 20.0
 
 
+PROFILE_CACHE_SIZE = 4   # (symbol, cutoff, grid) profiles remembered
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """chi, chi', chi'' and V on one grid; the arrays are read-only."""
+
+    chi: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    v: np.ndarray
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _cutoff_profile(sym, chi, x0, dx, n):
+    """The profile of chi and V on the grid x0 + dx * arange(n), refused
+    with GridError when chi's transition comes within 8 points of an edge.
+
+    Memoised on the symbol, the cutoff and the grid, so the commutators of
+    one request evaluate each cutoff once; the four cutoffs of a
+    wronskian-check request fit."""
+    xs = x0 + dx * np.arange(n)
+    d1 = chi.dvalue(xs)
+    active = np.nonzero(np.abs(d1) > 0)[0]
+    if len(active) and (active[0] < 8 or active[-1] > n - 9):
+        raise GridError("cutoff transition too close to the grid edge "
+                        "(need >= 8 points of margin)")
+    prof = _Profile(chi=chi.value(xs), d1=d1, d2=chi.d2value(xs),
+                    v=np.asarray(sym.v(xs) + 0.0 * xs, dtype=float))
+    for a in (prof.chi, prof.d1, prof.d2, prof.v):
+        a.flags.writeable = False
+    return prof
+
+
 def apply_commutator(sym, h, chi, u, check_tol=None):
     """(i/h) [P, chi] u with P = -h^2 d^2/dx^2 + V.
 
@@ -446,25 +516,20 @@ def apply_commutator(sym, h, chi, u, check_tol=None):
     (-h^2)(chi'' u + 2 chi' u') and a CommutatorCheckError is raised if
     the two disagree beyond ``check_tol`` (default: 1e-8 * ||u|| plus the
     expected 4th-order finite-difference error for the sampled phase).
+    chi, its derivatives and V on the grid come from the memoised
+    ``_cutoff_profile``.
     """
-    xs = u.xs
     dx = u.dx
-    n = u.n
-    cv = chi.value(xs)
-    active = np.nonzero(np.abs(chi.dvalue(xs)) > 0)[0]
-    if len(active) and (active[0] < 8 or active[-1] > n - 9):
-        raise GridError("cutoff transition too close to the grid edge "
-                        "(need >= 8 points of margin)")
-
-    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    prof = _cutoff_profile(sym, chi, u.x0, dx, u.n)
+    cv, v = prof.chi, prof.v
     y = u.values
 
     def apply_p(f):
         return -h * h * _fd2(f, dx) + v * f
 
+    du = _fd1(y, dx)
     route_a = (1j / h) * (apply_p(cv * y) - cv * apply_p(y))
-    route_b = (1j / h) * (-h * h) * (chi.d2value(xs) * y
-                                     + 2.0 * chi.dvalue(xs) * _fd1(y, dx))
+    route_b = (1j / h) * (-h * h) * (prof.d2 * y + 2.0 * prof.d1 * du)
 
     norm_u = math.sqrt(float(np.sum(np.abs(y) ** 2)) * dx)
     diff = math.sqrt(float(np.sum(np.abs(route_a - route_b) ** 2)) * dx)
@@ -473,7 +538,6 @@ def apply_commutator(sym, h, chi, u, check_tol=None):
         # finite-difference remainders h dx^4 [(1/90)(chi u)^(6)-terms
         # minus the split evaluation]; the pure-oscillation k=1 terms
         # cancel, leaving cutoff-derivative terms C(6,k) chi^(k) u^(6-k).
-        du = _fd1(y, dx)
         kappa = float(np.max(np.abs(du))) / max(float(np.max(np.abs(y))),
                                                 1e-300)
         binom = (6.0, 15.0, 20.0, 15.0, 6.0, 1.0)
@@ -488,29 +552,50 @@ def apply_commutator(sym, h, chi, u, check_tol=None):
     return GridFunction(u.x0, u.dx, route_a)
 
 
+# the exact solutions of the identity check: (y, y') at the grid's start
+IDENTITY_DATA = ((1.0, 0.0), (0.3, 1.1))
+
+
+def _exact_solutions(sym, e, h, xs):
+    """The two solutions of (P - E) y = 0 on xs with the initial data
+    IDENTITY_DATA at xs[0], each one Numerov sweep (the oracle's banded
+    solve) with f = 1 - dx^2 (V - E) / (12 h^2).
+
+    The second value of each comes from the Taylor series of
+    y'' = q y, q = (V - E) / h^2, through dx^4 at xs[0].  A sweep that
+    does not stay finite raises WronlabError."""
+    dx = float(xs[1] - xs[0])
+    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    f = 1.0 - dx * dx * (v - e) / (12.0 * h * h)
+    v0, v1, v2 = (float(d) for d in sym.v_derivs(float(xs[0])))
+    q0, q1, q2 = (v0 - e) / (h * h), v1 / (h * h), v2 / (h * h)
+    out = []
+    for y0, d1 in IDENTITY_DATA:
+        d2 = q0 * y0
+        d3 = q1 * y0 + q0 * d1
+        d4 = q2 * y0 + 2.0 * q1 * d1 + q0 * d2
+        y1 = y0 + dx * (d1 + dx * (d2 / 2.0 + dx * (d3 / 6.0
+                                                     + dx * d4 / 24.0)))
+        y = np.concatenate([[y0], _sweep(f, y0, y1)])
+        if not np.all(np.isfinite(y)):
+            raise WronlabError("the Numerov sweep of the identity check "
+                               "did not stay finite")
+        out.append(y)
+    return out
+
+
 def commutator_wronskian_identity(sym, e, h, chi, xs):
     """Exact-solution pairing identity for the cutoff commutator.
 
-    Solves (P - E)u = 0 and (P - E)v = 0 by high-order ODE integration on
-    the grid, and returns (lhs, rhs) with lhs = <(i/h)[P,chi]u | v> and
+    Solves (P - E)u = 0 and (P - E)v = 0 on the grid by Numerov
+    (``_exact_solutions``), and returns (lhs, rhs) with
+    lhs = <(i/h)[P,chi]u | v> and
     rhs = -i h (u' conj(v) - u conj(v)') (chi(right) - chi(left)), which
-    agree exactly up to discretization.
+    agree exactly up to discretization; the Wronskian is the constant of
+    the initial data.
     """
     xs = np.asarray(xs, dtype=float)
-    v = compiled(sym.potential)
-
-    def rhs_ode(x, y):
-        vv = float(v(x))
-        # y = (u, u', w, w')
-        return [y[1], (vv - e) / (h * h) * y[0],
-                y[3], (vv - e) / (h * h) * y[2]]
-
-    sol = solve_ivp(rhs_ode, (xs[0], xs[-1]), [1.0, 0.0, 0.3, 1.1],
-                    t_eval=xs, method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise WronlabError("ODE integration failed in the identity check")
-    u_vals, du_vals = sol.y[0], sol.y[1]
-    v_vals, dv_vals = sol.y[2], sol.y[3]
+    u_vals, v_vals = _exact_solutions(sym, e, h, xs)
 
     u = GridFunction(float(xs[0]), float(xs[1] - xs[0]),
                      u_vals.astype(complex))
@@ -518,7 +603,8 @@ def commutator_wronskian_identity(sym, e, h, chi, xs):
     v = GridFunction(u.x0, u.dx, v_vals.astype(complex))
     lhs = comm.inner(v)
 
-    wr = du_vals[0] * v_vals[0] - u_vals[0] * dv_vals[0]  # constant in x
+    (u0, du0), (v0, dv0) = IDENTITY_DATA
+    wr = du0 * v0 - u0 * dv0  # constant in x
     dchi = float(chi.value(xs[-1]) - chi.value(xs[0]))
     rhs = -1j * h * wr * dchi
     return lhs, rhs
@@ -540,10 +626,28 @@ class FluxReport:
     corrected_residual: float | None = None  # after the order-h correction
 
 
+FLUX_CACHE_SIZE = 3   # the (basepoint, cutoff) pairs of one request
+
+
 def _branch_fluxes(sym, e, h, basepoint, chi, order, xs):
+    """(u_+, u_-, F_+, F_-) with F = (i/h)[P, chi] u, on the grid xs.
+
+    Memoised on the symbol, E, h, basepoint, cutoff, order and the grid's
+    bytes, so the checks of one request share them; a hit returns what
+    rebuilding would, and the records' arrays are read-only.  A record
+    holds four complex arrays of the grid's size."""
+    return _flux_record(sym, float(e), float(h), basepoint, chi, order,
+                        np.asarray(xs, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=FLUX_CACHE_SIZE)
+def _flux_record(sym, e, h, basepoint, chi, order, grid):
+    xs = np.frombuffer(grid, dtype=float)
     up, um = build_wkb_pair(sym, e, h, basepoint, order, xs)
     fp = apply_commutator(sym, h, chi, up)
     fm = apply_commutator(sym, h, chi, um)
+    for gf in (up, um, fp, fm):
+        gf.values.flags.writeable = False
     return up, um, fp, fm
 
 
@@ -639,12 +743,11 @@ def chi_independence_check(sym, e, h, basepoint="a", chi_1=None, chi_2=None,
     if xs is None:
         xs = _resolve_transitions(default_grid(sym, e, h), [chi_1, chi_2])
     xs = np.asarray(xs, dtype=float)
-    up, um = build_wkb_pair(sym, e, h, basepoint, order, xs)
+    up, um, _, _ = _branch_fluxes(sym, e, h, basepoint, chi_1, order, xs)
     u = up + um
 
     def w_of(chi):
-        fp = apply_commutator(sym, h, chi, up)
-        fm = apply_commutator(sym, h, chi, um)
+        _, _, fp, fm = _branch_fluxes(sym, e, h, basepoint, chi, order, xs)
         return u.inner(fp - fm)
 
     w1, w2 = w_of(chi_1), w_of(chi_2)
@@ -677,14 +780,10 @@ def gram_numeric(sym, e, h, order=0, xs=None, chi_a=None, chi_ap=None):
         xs = _resolve_transitions(default_grid(sym, e, h), [chi_a, chi_ap])
     xs = np.asarray(xs, dtype=float)
 
-    u1p, u1m = build_wkb_pair(sym, e, h, "a", order, xs)
-    u2p, u2m = build_wkb_pair(sym, e, h, "a'", order, xs)
+    u1p, u1m, f1p, f1m = _branch_fluxes(sym, e, h, "a", chi_a, order, xs)
+    u2p, u2m, f2p, f2m = _branch_fluxes(sym, e, h, "a'", chi_ap, order, xs)
     u1, u2 = u1p + u1m, u2p + u2m
-
-    fa = (apply_commutator(sym, h, chi_a, u1p)
-          - apply_commutator(sym, h, chi_a, u1m))
-    fap = (apply_commutator(sym, h, chi_ap, u2p)
-           - apply_commutator(sym, h, chi_ap, u2m))
+    fa, fap = f1p - f1m, f2p - f2m
 
     g = np.array([[u1.inner(fa), u2.inner(fa)],
                   [u1.inner(fap), u2.inner(fap)]])

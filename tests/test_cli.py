@@ -1,12 +1,19 @@
 """Command-line interface: configs, subcommands, CSV output, exit codes."""
 
+import collections
 import configparser
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
-from semibs import exprjet, orbit, quantize, symbols, wronlab
+import semibs
+from semibs import cli, exprjet, orbit, quantize, symbols, wronlab
 from semibs.cli import (CONFIG_KEYS, EXIT_NONCONVERGENCE, EXIT_OK,
                         EXIT_VALIDATION, ConfigError, RunConfig, main,
                         parse_config)
@@ -28,6 +35,16 @@ def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+SRC = str(pathlib.Path(semibs.__file__).resolve().parents[1])
+
+
+def _python(*args):
+    """A fresh interpreter on this package's sources, run to completion."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def test_spectrum_columns_and_exit(tmp_path, capsys):
@@ -197,6 +214,54 @@ def test_a_well_too_narrow_to_resolve_exits_without_a_traceback(tmp_path,
             assert "turning points coincide" in out.err
 
 
+NARROW_CONFIG = """\
+[problem]
+potential = "1e200*x^2"
+hbar = 0.1
+energy_min = 1
+energy_max = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "gram-scan"])
+def test_an_overflowing_orbit_quadrature_exits_3_without_warnings(
+        tmp_path, command):
+    run = _python("-m", "semibs.cli", command, "--config",
+                  _write(tmp_path, NARROW_CONFIG))
+    assert run.returncode == EXIT_NONCONVERGENCE
+    assert "RuntimeWarning" not in run.stderr
+    assert "orbit quadrature overflowed" in run.stderr
+
+
+ORACLE_FAILS_CONFIG = """\
+[problem]
+potential = "x^2"
+hbar = 0.001
+energy_min = 0.5
+energy_max = 0.51
+"""
+
+
+def test_spectrum_stands_when_only_the_oracle_fails(tmp_path, capsys):
+    # levels near n = 250: four doublings of the oracle's grid do not reach
+    # its agreement tolerance, so oracle exits 3; spectrum's own levels
+    # stand, with the oracle columns blank and the reason on stderr
+    cfg = _write(tmp_path, ORACLE_FAILS_CONFIG)
+    reason = "oracle did not converge under grid refinement"
+    assert main(["oracle", "--config", cfg]) == EXIT_NONCONVERGENCE
+    assert reason in capsys.readouterr().err
+    assert main(["spectrum", "--config", cfg]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    rows = [line.split(",")
+            for line in captured.out.strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [250, 251, 252, 253, 254]
+    for r in rows:
+        assert float(r[3]) == pytest.approx(0.001 * (2 * int(r[0]) + 1),
+                                            abs=1e-9)
+        assert r[4:] == ["", "", ""]
+
+
 def _spectrum_rows(tmp_path, capsys, text):
     assert main(["spectrum", "--config", _write(tmp_path, text)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
@@ -336,6 +401,66 @@ def test_wronskian_check_integrates_the_phase_once(tmp_path, capsys,
     capsys.readouterr()
     assert calls == {"_offset_from_turning_point": 2,
                      "_cumulative_integral": 1}
+
+
+def test_wronskian_check_computes_each_commutator_once(tmp_path, capsys,
+                                                       monkeypatch):
+    wronlab._flux_record.cache_clear()
+    wronlab._cutoff_profile.cache_clear()
+    applied = []
+    apply_commutator = wronlab.apply_commutator
+
+    def counted(sym, h, chi, u, check_tol=None):
+        applied.append(chi)
+        return apply_commutator(sym, h, chi, u, check_tol)
+
+    monkeypatch.setattr(wronlab, "apply_commutator", counted)
+    evaluated = collections.Counter()   # (method, cutoff) on a whole grid
+    for name in ("value", "dvalue", "d2value"):
+        method = getattr(wronlab.CutoffSpec, name)
+
+        def spy(self, x, _name=name, _method=method):
+            if np.ndim(x):
+                evaluated[(_name, self)] += 1
+            return _method(self, x)
+
+        monkeypatch.setattr(wronlab.CutoffSpec, name, spy)
+    text = BASE_CONFIG.replace("hbar = 0.2", "hbar = 0.05")
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_OK
+    capsys.readouterr()
+    # chi_a, chi_a', the second cutoff of the independence check, and the
+    # identity check's cutoff: 6 branch fluxes, one sum, one identity
+    cutoffs = set(applied)
+    assert len(cutoffs) == 4
+    assert len(applied) <= 8
+    assert evaluated == {(name, chi): 1 for chi in cutoffs
+                         for name in ("value", "dvalue", "d2value")}
+
+
+def test_the_cli_path_loads_no_scipy_integrate():
+    script = ("import sys\n"
+              "import semibs.cli\n"
+              "assert 'scipy.integrate' not in sys.modules, 'on import'\n"
+              "code = semibs.cli.main(['wronskian-check', '--hbar', '0.05'])\n"
+              "assert 'scipy.integrate' not in sys.modules, 'on a request'\n"
+              "sys.exit(code)\n")
+    run = _python("-c", script)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.startswith("check,value,bound,pass")
+
+
+def test_the_parser_is_built_once_and_still_refuses_bad_arguments(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for argv in (["no-such-command"], ["spectrum", "--order"],
+                 ["spectrum", "--no-such-flag"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+    assert main(["spectrum", "--hbar", "x"]) == EXIT_VALIDATION
+    assert "bad value for --hbar" in capsys.readouterr().err
+    assert main(["oracle", "--hbar", "0.2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("n,E\n")
 
 
 def test_gram_scan_compiles_each_expression_once(tmp_path, capsys,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from semibs import wronlab
 from semibs.wronlab import (CutoffSpec, GridError, GridFunction, WronlabError,
@@ -279,6 +279,117 @@ def test_exact_wronskian_identity(harmonic):
             lhs, rhs = commutator_wronskian_identity(harmonic, e, 1.0, chi,
                                                      xs)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs)), (e, chi)
+
+
+IDENTITY_WELLS = [
+    ("harmonic", builtin("harmonic"), 0.5, 0.01),
+    ("quartic", builtin("quartic"), 0.5, 0.01),
+    ("morse", builtin("morse", {"D": 1.0, "a": 1.0}), 0.5, 0.01),
+]
+
+
+@pytest.mark.parametrize("sym,e,h_grid", [w[1:] for w in IDENTITY_WELLS],
+                         ids=[w[0] for w in IDENTITY_WELLS])
+def test_numerov_identity_solutions_match_dop853(sym, e, h_grid):
+    """The identity check's Numerov solutions, at h = 1 as wronskian-check
+    runs it, against DOP853 on the same grid; the identity still holds."""
+    xs = default_grid(sym, e, h_grid)
+    h = 1.0
+    u, v = wronlab._exact_solutions(sym, e, h, xs)
+
+    def rhs(x, y):
+        q = (float(sym.v(x)) - e) / (h * h)
+        return [y[1], q * y[0], y[3], q * y[2]]
+
+    (u0, du0), (v0, dv0) = wronlab.IDENTITY_DATA
+    ref = solve_ivp(rhs, (xs[0], xs[-1]), [u0, du0, v0, dv0], t_eval=xs,
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert ref.success
+    for got, want in ((u, ref.y[0]), (v, ref.y[2])):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    span = float(xs[-1] - xs[0])
+    chi = CutoffSpec(center=float(xs[-1]) + 0.3 * span, r1=0.45 * span,
+                     r2=0.9 * span)
+    lhs, rhs_val = commutator_wronskian_identity(sym, e, h, chi, xs)
+    assert abs(lhs - rhs_val) <= 1e-8
+
+
+def test_identity_check_refuses_a_sweep_that_overflows():
+    # q = 1e8 x^2 grows the solutions as exp(5e3 x^2): no float holds them
+    sym = from_potential("1e8*x^2")
+    xs = np.linspace(-1.0, 1.0, 2001)
+    chi = CutoffSpec(center=1.6, r1=0.9, r2=1.8)
+    with pytest.raises(WronlabError, match="did not stay finite"):
+        commutator_wronskian_identity(sym, 0.5, 1.0, chi, xs)
+
+
+@pytest.mark.parametrize("sym,e,h", [w[1:] for w in PHASE_WELLS],
+                         ids=[w[0] for w in PHASE_WELLS])
+def test_turning_point_offsets_match_quad(sym, e, h):
+    """Gauss-Legendre offsets, of xi_+ and of the order-1 integrand
+    p1 / (2 xi_+), against quad on the same substitution."""
+    xs = default_grid(sym, e, h)
+    xl, xr = turning_points(sym, e)
+
+    def xi_of(y):
+        return np.sqrt(np.maximum(e - sym.v(y), 0.0))
+
+    def q(y):
+        return np.asarray(y) / (2.0 * np.maximum(xi_of(y), 1e-300))
+
+    for g in (xi_of, q):
+        for base, x0 in ((xl, float(xs[0])), (xr, float(xs[-1]))):
+            s = -1.0 if x0 < base else 1.0
+            want, _ = quad(lambda u: 2.0 * s * u
+                           * float(g(base + s * u * u)), 0.0,
+                           math.sqrt(abs(x0 - base)), epsabs=1e-14,
+                           epsrel=1e-13, limit=400)
+            got = wronlab._offset_from_turning_point(g, base, x0)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_an_offset_that_does_not_converge_is_refused():
+    # |y|^-0.9 leaves u^-0.8 after the substitution: no Gauss-Legendre
+    # count resolves it to 1e-12
+    with pytest.raises(WronlabError, match="did not converge"):
+        wronlab._offset_from_turning_point(
+            lambda y: np.abs(y) ** -0.9, 0.0, 0.5)
+
+
+def test_branch_fluxes_memo_hit_equals_rebuild(harmonic):
+    e, h = 0.5, 0.05
+    chi = default_cutoff(harmonic, e, h, "a")
+    xs = wronlab._resolve_transitions(default_grid(harmonic, e, h), [chi])
+    wronlab._flux_record.cache_clear()
+    first = wronlab._branch_fluxes(harmonic, e, h, "a", chi, 0, xs)
+    hit = wronlab._branch_fluxes(harmonic, e, h, "a", chi, 0, xs.copy())
+    info = wronlab._flux_record.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert all(a is b for a, b in zip(first, hit))
+    up, um = build_wkb_pair(harmonic, e, h, "a", 0, xs)
+    rebuilt = (up, um, apply_commutator(harmonic, h, chi, up),
+               apply_commutator(harmonic, h, chi, um))
+    for got, want in zip(hit, rebuilt):
+        assert (got.x0, got.dx) == (want.x0, want.dx)
+        assert np.array_equal(got.values, want.values)
+        assert not got.values.flags.writeable
+
+
+def test_cutoff_profile_memo_hit_equals_rebuild(harmonic):
+    e, h = 0.5, 0.05
+    chi = default_cutoff(harmonic, e, h, "a'")
+    xs = wronlab._resolve_transitions(default_grid(harmonic, e, h), [chi])
+    x0, dx, n = float(xs[0]), float(xs[1] - xs[0]), len(xs)
+    wronlab._cutoff_profile.cache_clear()
+    first = wronlab._cutoff_profile(harmonic, chi, x0, dx, n)
+    assert wronlab._cutoff_profile(harmonic, chi, x0, dx, n) is first
+    grid = x0 + dx * np.arange(n)
+    rebuilt = (chi.value(grid), chi.dvalue(grid), chi.d2value(grid),
+               harmonic.v(grid))
+    for got, want in zip((first.chi, first.d1, first.d2, first.v), rebuilt):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 # ---------------------------------------------------------------------------
