@@ -5,19 +5,20 @@ level is bracketed by Sturm node counts of the Numerov sweep alone: on the
 base grid the energy range is bisected on the count until the bracket
 holds that level and no other, and the counts taken are shared by all the
 levels of the request.  The level is then found by brentq on the Numerov
-matching defect at the well minimum and confirmed by node counts again.
-Grid resolution is doubled (with one Richardson step) until two grids
-agree; a doubled grid first tries the previous grid's level widened by
-twice that grid's error bound, and keeps it only when two node counts
-confirm it.  Each grid, and V on it, is built once per request.
+matching defect at the well minimum and confirmed by node counts again; a
+level with no confirmed root is an OracleError.  Grid resolution is
+doubled (with one Richardson step) until two grids agree; a doubled grid
+first tries the previous grid's level widened by twice that grid's error
+bound, and keeps it only when two node counts confirm it.  Each grid, and
+V on it, is built once per request.
 
 The Dirichlet interval is built outward from the well minimum that
 ``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or
 ``quantize``.  A node count is exact only where f = 1 + dx^2 (E - V) /
 (12 h^2) stays positive, so walls deep in the forbidden region are moved
-in, or the base grid refined, until it does.  Each Numerov sweep is one
-banded triangular solve in BLAS; a sweep that overflows there runs again
-as a Python loop that rescales.
+in, or the base grid refined, until it does.  Each Numerov sweep is a
+banded triangular solve in BLAS; where one passes 1e200, the sweep resumes
+from its last two values scaled by 1e-200.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def _sweep(f, y0=0.0, y1=1e-10):
     The recurrence f_{i+1} y_{i+1} - (12 - 10 f_i) y_i + f_{i-1} y_{i-1} = 0
     is a lower-triangular system of bandwidth 2 in y_1 .. y_m; row 0 pins
     y_1, and y_0 enters the right-hand side of row 1.  Nothing rescales the
-    run, so a value may overflow: callers check that the result is finite.
+    run, so a value may overflow: `_dirichlet_sweep` resumes it there, and
+    any other caller checks that the result is finite.
     """
     m = f.size - 1
     ab = np.empty((3, m), order="F")   # lower band storage, by column
@@ -93,6 +95,32 @@ def _wronskian(yl, yl_next, yr, yr_next):
     return (yl * yr_next - yl_next * yr) / (norm_l * norm_r)
 
 
+def _dirichlet_sweep(f):
+    """`_sweep` from the Dirichlet pair (0, 1e-10), resumed where it
+    overflows.
+
+    A run whose last value passes 1e200 is cut where it first passed 1e200,
+    and the next run starts from the value before that point and the
+    value past it, each times 1e-200.  Signs survive the rescaling, so
+    node counts stay exact, and the last two values always come from one
+    run, so the Wronskian of unit-scaled shots is unchanged.  A run that
+    ends at or below 1e200 is finite throughout, since a value that
+    overflows stays non-finite.
+    """
+    runs, start, y0, y1 = [], 0, 0.0, 1e-10
+    while True:
+        y = _sweep(f[start:], y0, y1)       # y_{start+1} .. y_m
+        past = [] if abs(y[-1]) <= 1e200 else \
+            np.flatnonzero(np.abs(y[:-1]) > 1e200)
+        # a value that jumps past 1e200 to inf cannot be resumed
+        if len(past) == 0 or not np.isfinite(y[past[0]]):
+            return np.concatenate(runs + [y]) if runs else y
+        j = int(past[0])    # >= 1: every run starts far below 1e200
+        runs.append(y[:j])
+        y0, y1 = y[j - 1] * 1e-200, y[j] * 1e-200
+        start += j
+
+
 def _shoot(k, i_match):
     """Two-sided Numerov propagation; returns the matching defect.
 
@@ -105,10 +133,8 @@ def _shoot(k, i_match):
     The match point, V's minimum, lies inside: 1 <= i_match <= n - 3.
     """
     f = 1.0 + np.asarray(k, dtype=float)
-    left = _sweep(f[:i_match + 2])         # y_1 .. y_{i_match+1}
-    right = _sweep(f[i_match:][::-1])      # y_{n-2} down to y_{i_match}
-    if not (np.isfinite(left[-1]) and np.isfinite(right[-1])):
-        return _shoot_loop(f.tolist(), i_match)
+    left = _dirichlet_sweep(f[:i_match + 2])      # y_1 .. y_{i_match+1}
+    right = _dirichlet_sweep(f[i_match:][::-1])   # y_{n-2} .. y_{i_match}
     return _wronskian(float(left[-2]), float(left[-1]),
                       float(right[-1]), float(right[-2]))
 
@@ -120,58 +146,10 @@ def _count_nodes(k):
     strictly below E, which makes it an exact bracketing count.  A change
     is strict: a zero neither counts nor carries a sign.
     """
-    f = 1.0 + np.asarray(k, dtype=float)
-    y = _sweep(f)                          # y_1 .. y_{n-1}
-    if not np.isfinite(y[-1]):             # a non-finite value persists
-        return _count_nodes_loop(f.tolist())
+    y = _dirichlet_sweep(1.0 + np.asarray(k, dtype=float))   # y_1 .. y_{n-1}
     pos, neg = y > 0.0, y < 0.0
     return int(np.count_nonzero(pos[:-1] & neg[1:])
                + np.count_nonzero(neg[:-1] & pos[1:]))
-
-
-# The same sweeps as Python loops that rescale at 1e200: the fallback for a
-# banded run that overflows, and the reference the tests hold it to.
-
-def _shoot_loop(f, i_match):
-    """`_shoot` on f = 1 + k as a list."""
-    n = len(f)
-
-    # forward sweep: after iteration i, y_cur = y_{i+1}, y_prev = y_i;
-    # runs i = 1 .. i_match so the sweep ends holding y_{i_match+1}.
-    y_prev, y_cur = 0.0, 1e-10
-    for i in range(1, i_match + 1):
-        y_new = ((12.0 - 10.0 * f[i]) * y_cur - f[i - 1] * y_prev) / f[i + 1]
-        y_prev, y_cur = y_cur, y_new
-        if abs(y_cur) > 1e200:
-            y_prev *= 1e-200
-            y_cur *= 1e-200
-    yl, yl_next = y_prev, y_cur
-
-    # backward sweep: after iteration i, y_cur = y_{i-1}, y_prev = y_i;
-    # runs i = n-2 .. i_match+1 so the sweep ends holding y_{i_match}.
-    y_prev, y_cur = 0.0, 1e-10
-    for i in range(n - 2, i_match, -1):
-        y_new = ((12.0 - 10.0 * f[i]) * y_cur - f[i + 1] * y_prev) / f[i - 1]
-        y_prev, y_cur = y_cur, y_new
-        if abs(y_cur) > 1e200:
-            y_prev *= 1e-200
-            y_cur *= 1e-200
-    return _wronskian(yl, yl_next, y_cur, y_prev)
-
-
-def _count_nodes_loop(f):
-    """`_count_nodes` on f = 1 + k as a list."""
-    nodes = 0
-    y_prev, y_cur = 0.0, 1e-10
-    for i in range(1, len(f) - 1):
-        y_new = ((12.0 - 10.0 * f[i]) * y_cur - f[i - 1] * y_prev) / f[i + 1]
-        if (y_new > 0.0 and y_cur < 0.0) or (y_new < 0.0 and y_cur > 0.0):
-            nodes += 1
-        y_prev, y_cur = y_cur, y_new
-        if abs(y_cur) > 1e200:
-            y_prev *= 1e-200
-            y_cur *= 1e-200
-    return nodes
 
 
 def _domain(sym, h, window, cfg):
@@ -269,8 +247,8 @@ def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol,
     `counts` maps energies to the node counts already taken on this grid;
     the bisection starts from the tightest bracket in it, and every count
     taken here is added to it.  The root is kept only when node counts on
-    either side of it confirm the level; otherwise the bracket is bisected
-    on the node count down to the tolerance first.
+    either side of it confirm the level; without a confirmed root the
+    level is an OracleError, never an unconfirmed energy.
     """
     pref = dx * dx / (12.0 * h * h)
     counts = {} if counts is None else counts
@@ -293,48 +271,9 @@ def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol,
         eps = max(2.0 * tol, 1e-13 * (1.0 + abs(e)))
         if nodes(e - eps) <= n_target < nodes(e + eps):
             return e
-    # bisect on node count: lo has <= n_target nodes, hi has more
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if nodes(mid) <= n_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < max(tol, 1e-13 * (1.0 + abs(mid))):
-            break
-    e = _defect_root(defect, lo, hi, tol)
-    return 0.5 * (lo + hi) if e is None else e
-
-
-def eigenfunction(sym, h, e, xl, xr, n_pts):
-    """Assembled two-sided Numerov solution at energy e (for node checks)."""
-    xs = np.linspace(xl, xr, n_pts)
-    dx = xs[1] - xs[0]
-    v = sym.v(xs)
-    k = dx * dx / 12.0 * (e - v) / (h * h)
-    f = 1.0 + k
-    i_match = int(np.argmin(v))
-    yl = np.zeros(n_pts)
-    yl[1] = 1e-10
-    for i in range(1, i_match + 1):
-        yl[i + 1] = ((12.0 - 10.0 * f[i]) * yl[i] - f[i - 1] * yl[i - 1]) / f[i + 1]
-        if abs(yl[i + 1]) > 1e200:
-            yl[: i + 2] *= 1e-200
-    yr = np.zeros(n_pts)
-    yr[-2] = 1e-10
-    for i in range(n_pts - 2, max(i_match - 1, 0), -1):
-        yr[i - 1] = ((12.0 - 10.0 * f[i]) * yr[i] - f[i + 1] * yr[i + 1]) / f[i - 1]
-        if abs(yr[i - 1]) > 1e200:
-            yr[i - 1:] *= 1e-200
-    # least-squares scale over the 3-point overlap (robust when the
-    # eigenfunction has a node at the match point itself)
-    sl = yl[i_match - 1: i_match + 2]
-    sr = yr[i_match - 1: i_match + 2]
-    denom = float(np.dot(sr, sr))
-    scale = float(np.dot(sl, sr)) / denom if denom > 0 else 1.0
-    y = np.concatenate([yl[:i_match], scale * yr[i_match:]])
-    m = np.max(np.abs(y))
-    return xs, y / m if m > 0 else y
+    raise OracleError(
+        f"no confirmed root of the matching defect for the level with"
+        f" {n_target} nodes in ({lo!r}, {hi!r})")
 
 
 @dataclass

@@ -382,7 +382,9 @@ def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10,
     s_lo, s_hi = table.value([window.e_min, window.e_max], order)
     lo, hi = (s_lo, s_hi) if s_lo < s_hi else (s_hi, s_lo)
     two_pi_h = 2.0 * math.pi * h
-    k_min = math.ceil(lo / two_pi_h - 0.5 - 1e-12)
+    # h^2 S2 may drive S_eff below 0 near the well bottom, where no order-0
+    # level lies (S0 >= 0): rows start at k = 0
+    k_min = max(math.ceil(lo / two_pi_h - 0.5 - 1e-12), 0)
     k_max = math.floor(hi / two_pi_h - 0.5 + 1e-12)
     if k_max < k_min:
         raise QuantizeError("no quantization levels inside the window")

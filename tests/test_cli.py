@@ -363,6 +363,25 @@ def test_a_morse_window_below_dissociation_has_exact_oracle_levels(
         assert float(r[4]) == pytest.approx(exact(int(r[0])), abs=1e-9)
 
 
+QUARTIC_BOTTOM_CONFIG = """\
+[problem]
+potential = "x^4"
+hbar = 0.05
+energy_min = 1e-6
+energy_max = 1
+"""
+
+
+def test_a_window_from_the_well_bottom_starts_at_level_0(tmp_path, capsys):
+    # h^2 S2 diverges at the bottom of x^4, so order-2 S_eff at e_min is
+    # -23; a row below n = 0 has no order-0 level (S0 >= 0), and spectrum
+    # exited 3 on it
+    rows = _spectrum_rows(tmp_path, capsys, QUARTIC_BOTTOM_CONFIG)
+    assert [int(r[0]) for r in rows] == list(range(11))
+    for r in rows:
+        assert abs(float(r[4]) - float(r[1])) < 5e-3
+
+
 def test_wronskian_check_solves_each_turning_point_once(tmp_path, capsys,
                                                          monkeypatch):
     orbit._turning_points.cache_clear()

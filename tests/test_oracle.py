@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from numerov_reference import eigenfunction
 from semibs import oracle, orbit
-from semibs.oracle import (OracleConfig, _solve_on_grid,
-                           eigenfunction, oracle_spectrum)
+from semibs.oracle import OracleConfig, _solve_on_grid, oracle_spectrum
 from semibs.quantize import convergence_fit
 from semibs.symbols import EnergyWindow, HamiltonianSymbol, builtin
 

@@ -1,11 +1,13 @@
 """The oracle's per-grid level solve: Sturm brackets from node counts alone,
 the doubled grid's guessed bracket and its fallback, and the contract that a
-level outside (e_lo, e_hi) is refused."""
+level is a confirmed root of the matching defect inside (e_lo, e_hi) or an
+error."""
 
 import numpy as np
 import pytest
 
 from semibs import oracle
+from semibs.cli import EXIT_OK, main
 from semibs.oracle import (OracleConfig, OracleError, _base_grid_error,
                            _count_nodes, _domain, _isolate, _solve_on_grid)
 from semibs.symbols import builtin
@@ -143,3 +145,18 @@ def test_level_outside_the_range_is_refused(harmonic):
                            guess=(0.29, 0.31))
     with pytest.raises(OracleError):  # more levels than grid points
         _solve_on_grid(v, dx, h, i_match, 0.05, 1.0, xs.size, 1e-12)
+
+
+def test_a_level_without_a_defect_root_is_an_error(monkeypatch, capsys,
+                                                   harmonic, window):
+    """No unconfirmed energy stands in for a level: the oracle raises, and
+    spectrum leaves its oracle columns blank."""
+    monkeypatch.setattr(oracle, "_defect_root", lambda *args: None)
+    with pytest.raises(OracleError, match="no confirmed root"):
+        oracle.oracle_spectrum(harmonic, 0.1, window)
+    assert main(["spectrum", "--hbar", "0.1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "no confirmed root" in captured.err
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(r[3] and r[4:] == ["", "", ""] for r in rows)

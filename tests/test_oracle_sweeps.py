@@ -2,13 +2,16 @@
 loops they replace, and the Dirichlet interval and base grid that they run
 on."""
 
+import time
+
 import numpy as np
 import pytest
 
+from numerov_reference import _count_nodes_loop, _shoot_loop
 from semibs import oracle
 from semibs.oracle import (ConfinementError, OracleConfig, OracleError,
-                           _base_grid, _count_nodes, _count_nodes_loop,
-                           _domain, _grid, _shoot, _shoot_loop, _sweep)
+                           _base_grid, _count_nodes, _domain, _grid, _shoot,
+                           _sweep)
 from semibs.symbols import EnergyWindow, builtin, from_potential
 
 WELLS = {
@@ -60,20 +63,75 @@ def test_lists_and_arrays_give_the_same_sweep(window):
     assert _shoot(k.tolist(), i_match) == _shoot(k, i_match)
 
 
-def test_an_overflowing_sweep_runs_the_loop(monkeypatch):
-    """k = -0.5 grows the sweep 14-fold a step: the banded run overflows
-    within 300 points, and the rescaling loop gives the answer."""
+def _recorded_runs(monkeypatch):
+    """Record, for every banded run, whether it passed 1e200."""
+    runs = []
+    sweep = oracle._sweep
+
+    def recorded(f, *args):
+        y = sweep(f, *args)
+        runs.append(not np.all(np.abs(y) <= 1e200))
+        return y
+
+    monkeypatch.setattr(oracle, "_sweep", recorded)
+    return runs
+
+
+def test_an_overflowing_sweep_resumes_and_matches_the_loops(monkeypatch):
+    """k = -0.5 grows the sweep 14-fold a step: a banded run passes 1e200
+    within 200 points, so each 2000-point sweep resumes about ten times,
+    and its count and defect are those of the rescaling loops."""
     k = np.full(2000, -0.5)
     f = (1.0 + k).tolist()
     assert not np.all(np.isfinite(_sweep(1.0 + k)))
-    expected = (_count_nodes_loop(f), _shoot_loop(f, 1000))
-    calls = []
-    for name in ("_count_nodes_loop", "_shoot_loop"):
-        loop = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *a, _loop=loop, _name=name:
-                            calls.append(_name) or _loop(*a))
-    assert (_count_nodes(k), _shoot(k, 1000)) == expected
-    assert calls == ["_count_nodes_loop", "_shoot_loop"]
+    runs = _recorded_runs(monkeypatch)
+    y = oracle._dirichlet_sweep(1.0 + k)
+    assert 8 <= len(runs) <= 15 and all(runs[:-1])
+    # y_{i+1} = 14 y_i - y_{i-1} from (0, 1e-10) is 1e-10 sinh(i a) / sinh(a),
+    # cosh(a) = 7: each value is that times 1e-200 per resume before it
+    a, i = np.arccosh(7.0), np.arange(1, k.size)
+    exact = (i * a + np.log1p(-np.exp(-2.0 * i * a))
+             - np.log(np.sinh(a)) - np.log(2.0)) / np.log(10.0) - 10.0
+    resumes = (exact - np.log10(y)) / 200.0
+    assert np.all(np.abs(resumes - np.round(resumes)) <= 1e-9)
+    assert np.array_equal(np.unique(np.round(resumes)), np.arange(len(runs)))
+    del runs[:]
+    assert _count_nodes(k) == _count_nodes_loop(f)
+    del runs[:]
+    d, d_loop = _shoot(k, 1000), _shoot_loop(f, 1000)
+    assert abs(d - d_loop) <= 1e-14
+    assert len(runs) >= 8
+
+
+def test_a_sign_change_at_a_resume_point_is_counted_once(monkeypatch):
+    """k = 1 flips the sign of the sweep at every step while it grows
+    3.7-fold, so every resume point falls on a sign change."""
+    k = np.full(2000, 1.0)
+    runs = _recorded_runs(monkeypatch)
+    count = _count_nodes(k)
+    assert len(runs) >= 3
+    assert oracle._dirichlet_sweep(1.0 + k).size == k.size - 1
+    assert count == _count_nodes_loop((1.0 + k).tolist()) == k.size - 2
+
+
+def test_a_morse_window_that_overflows_in_blas_has_exact_levels(
+        monkeypatch):
+    """The right wall of (1 - exp(-x))^2 lies far out on the asymptote,
+    where the sweeps from it pass 1e200; the levels 14 .. 18 are
+    2h(n + 1/2) - h^2 (n + 1/2)^2."""
+    h = 0.05
+    runs = _recorded_runs(monkeypatch)
+    start = time.perf_counter()
+    energies, counts = oracle.oracle_spectrum(
+        from_potential("(1 - exp(-x))^2"), h, EnergyWindow(0.9, 0.999),
+        return_counts=True)
+    elapsed = time.perf_counter() - start
+    assert any(runs)
+    assert counts == [14, 15, 16, 17, 18]
+    for n, e in zip(counts, energies):
+        assert e == pytest.approx(2 * h * (n + 0.5) - (h * (n + 0.5)) ** 2,
+                                  abs=1e-9)
+    assert elapsed < 5.0
 
 
 # x^2 + 0.1 x^3 has a barrier of 14.8 at x = -20/3 and falls to -inf past it
