@@ -64,10 +64,11 @@ class ActionSeries:
     derivative_consistent: bool  # eta vs eta/2 estimates agreed to 1e-6
 
 
-def s2_value(gamma_dd, p1sq_d, p2_int, sign):
-    """S2 from its three parts; ``sign`` (``S2_SIGN`` but for calibration
-    runs) scales the curvature and p1^2 parts, and p2 enters as -oint p2."""
-    return sign * (gamma_dd / 48.0 - 0.5 * p1sq_d) - p2_int
+def s2_value(gamma_dd, p1sq_d, p2_int):
+    """S2 from its three parts: ``S2_SIGN`` scales the curvature and p1^2
+    parts, and p2 enters as -oint p2.  Every S2 of the package comes from
+    here, so the sign is decided in this one place."""
+    return S2_SIGN * (gamma_dd / 48.0 - 0.5 * p1sq_d) - p2_int
 
 
 def _gamma_on_samples(sym, x, xi):
@@ -108,11 +109,8 @@ def orbit_integrands(sym):
 
 
 def action_series(sym, e, eta, quad_tol=1e-12):
-    """Compute the action series at energy e with E-derivative step eta.
-
-    ``e`` is a number or a 1-D array of energies; for an array every field
-    is an array over it, from two array quadratures: one at the energies,
-    one at all their stencil energies together."""
+    """Compute the action series at the energy e, a number, with
+    E-derivative step eta."""
 
     def one(x, xi):
         return np.ones_like(x)
@@ -122,18 +120,9 @@ def action_series(sym, e, eta, quad_tol=1e-12):
         sym, e, [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
 
     # stencil energies for step eta and eta/2 (Richardson)
-    offsets = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-    if np.ndim(e) == 0:
-        vals = {off: orbit_quadrature(sym, e + off * eta, stencil_fs,
-                                      rel_tol=quad_tol)[1]
-                for off in offsets}
-    else:
-        e = np.asarray(e, dtype=float)
-        _, ints = orbit_quadrature(
-            sym, np.concatenate([e + off * eta for off in offsets]),
-            stencil_fs, rel_tol=quad_tol)
-        rows = [np.split(i, len(offsets)) for i in ints]
-        vals = {off: [r[k] for r in rows] for k, off in enumerate(offsets)}
+    vals = {off: orbit_quadrature(sym, e + off * eta, stencil_fs,
+                                  rel_tol=quad_tol)[1]
+            for off in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)}
     vals[0.0] = at_e
     full = (-2.0, -1.0, 0.0, 1.0, 2.0)
     half = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -142,7 +131,7 @@ def action_series(sym, e, eta, quad_tol=1e-12):
         d_eta = _d1_5pt([vals[o][i] for o in full], eta)
         d_half = _d1_5pt([vals[o][i] for o in half], 0.5 * eta)
         d = (16.0 * d_half - d_eta) / 15.0
-        consistent = consistent & (
+        consistent = consistent and (
             abs(d_eta - d_half) <= 1e-6 * (1.0 + abs(d)))
         derivs.append(d)
     v_dd_d, p1sq_d = derivs
@@ -151,7 +140,7 @@ def action_series(sym, e, eta, quad_tol=1e-12):
     return ActionSeries(
         e=e, s0=s0, period=period, maslov=MASLOV_TERM, sub_principal=sub,
         s1=MASLOV_TERM - sub, gamma_dd=gamma_dd, p2_int=p2_int,
-        p1sq_d=p1sq_d, s2=s2_value(gamma_dd, p1sq_d, p2_int, S2_SIGN),
+        p1sq_d=p1sq_d, s2=s2_value(gamma_dd, p1sq_d, p2_int),
         derivative_consistent=consistent)
 
 

@@ -108,6 +108,14 @@ class RunConfig:
             raise ConfigError("halfwidth_factor must be >= 1.5")
         if self.grid_points_per_oscillation < 4:
             raise ConfigError("grid_points_per_oscillation must be >= 4")
+        r1, r2 = self.cutoff_r1, self.cutoff_r2
+        if (r1 is None) != (r2 is None):
+            given = "cutoff_r1" if r2 is None else "cutoff_r2"
+            raise ConfigError(f"{given} is set alone: cutoff_r1 and "
+                              "cutoff_r2 must be set together")
+        if r1 is not None and not 0.0 < r1 < r2:
+            raise ConfigError("cutoff_r1 and cutoff_r2 must satisfy "
+                              f"0 < cutoff_r1 < cutoff_r2, got {r1!r}, {r2!r}")
         return self
 
     @property
@@ -285,7 +293,7 @@ def cmd_wronskian_check(cfg, out):
     xs = wronlab.default_grid(
         sym, e, h, points_per_oscillation=cfg.grid_points_per_oscillation)
 
-    if cfg.cutoff_r1 is not None and cfg.cutoff_r2 is not None:
+    if cfg.cutoff_r1 is not None:   # validate() sets both or neither
         xl, xr = turning_points(sym, e)
         chi_a = wronlab.CutoffSpec(center=xr, r1=cfg.cutoff_r1,
                                    r2=cfg.cutoff_r2)

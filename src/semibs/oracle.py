@@ -14,11 +14,12 @@ V on it, is built once per request.
 
 The Dirichlet interval is built outward from the well minimum that
 ``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or
-``quantize``.  A node count is exact only where f = 1 + dx^2 (E - V) /
-(12 h^2) stays positive, so walls deep in the forbidden region are moved
-in, or the base grid refined, until it does.  Each Numerov sweep is a
-banded triangular solve in BLAS; where one passes 1e200, the sweep resumes
-from its last two values scaled by 1e-200.
+``quantize``.  The base grid resolves the top level's wavenumber k to
+k dx <= KDX_MAX, however long the interval.  A node count is exact only
+where f = 1 + dx^2 (E - V) / (12 h^2) stays positive, so walls deep in the
+forbidden region are moved in, or the base grid refined, until it does.
+Each Numerov sweep is a banded triangular solve in BLAS; where one passes
+1e200, the sweep resumes from its last two values scaled by 1e-200.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class ConfinementError(OracleError):
     padded target."""
 
 
-BASE_N = 2000              # points of the first grid
+BASE_N = 2000              # least points of the base grid
+KDX_MAX = 0.5              # largest k dx on the base grid, k at the top level
 MAX_LEVELS = 200           # levels solved per window at most
 GRID_AGREE_TOL = 1e-9      # relative agreement of two successive grids
 MAX_GRID_DOUBLINGS = 4
@@ -335,24 +337,35 @@ def _tail_wall(sym, h, x0, wall, e_top):
     return float(xs[i + 1]) if i < tail.size else wall
 
 
+def _base_points(xl, xr, k_max):
+    """Points of a grid on (xl, xr) with k_max dx <= KDX_MAX: at least
+    BASE_N, at most MAX_BASE_N."""
+    n = math.ceil(1.0 + (xr - xl) * k_max / KDX_MAX)
+    return min(max(BASE_N, n), MAX_BASE_N)
+
+
 def _base_grid(sym, h, window, xl, xr):
-    """The base grid, and its walls, on which every node count is exact.
+    """The base grid, and its walls, on which every node count is exact
+    and the top level's wavenumber k = sqrt(e_max - min V) / h has
+    k dx <= KDX_MAX (``_base_points``), so that the MAX_GRID_DOUBLINGS
+    doublings resolve the levels however long the interval.
 
     Where f = 1 + dx^2 (E - V) / (12 h^2) < 0 the Numerov recurrence flips
     sign at every step and the count gains nodes that no level has.  So
-    every energy searched must keep f >= F_MIN.  When BASE_N points on
-    (xl, xr) do not, each wall moves in to where the WKB tail beyond the
+    every energy searched must keep f >= F_MIN.  When the grid on (xl, xr)
+    does not, each wall moves in to where the WKB tail beyond the
     highest energy searched reaches TAIL_MIN, which shifts a level by about
     exp(-2 TAIL_MIN) of a spacing; if f is still too small there, the grid
     is refined, up to MAX_BASE_N points."""
-    g = _grid(sym, xl, xr, BASE_N)
+    x0, v_min = well_minimum(sym.potential, window.e_max)
+    k_max = math.sqrt(max(window.e_max - v_min, 0.0)) / h
+    g = _grid(sym, xl, xr, _base_points(xl, xr, k_max))
     if g.f_min(h) >= F_MIN:
         return g, xl, xr
     e_top = window.e_max + 2.0 * _base_grid_error(
         window.e_max - g.v_floor, g.dx, h)
-    x0 = well_minimum(sym.potential, window.e_max)[0]
     xl, xr = (_tail_wall(sym, h, x0, wall, e_top) for wall in (xl, xr))
-    n = BASE_N
+    n = _base_points(xl, xr, k_max)
     while True:
         g = _grid(sym, xl, xr, n)
         f = g.f_min(h)

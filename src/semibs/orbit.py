@@ -189,7 +189,6 @@ class Orbit:
     x_left: float
     x_right: float
     period: float
-    samples: np.ndarray  # shape (n, 3): (t, x, xi) over one period
     _sol: object  # scipy OdeSolution (dense output)
 
     def at(self, t):
@@ -257,29 +256,31 @@ def trace_orbit(sym, e, rtol=1e-12, atol=1e-14):
     if closure > CLOSURE_TOL:
         raise OrbitError(f"orbit closure defect {closure:.3e} at E = {e}")
 
-    mask = sol.t <= period
-    ts = np.append(sol.t[mask], period)
+    ts = np.append(sol.t[sol.t <= period], period)
     states = sol.sol(ts)
-    samples = np.column_stack([ts, states[0], states[1]])
-
     drift = np.max(np.abs(sym.p0_value(states[0], states[1]) - e))
     if drift > ENERGY_DRIFT_TOL * (1.0 + abs(e)):
         raise OrbitError(f"energy drift {drift:.3e} along orbit at E = {e}")
 
     return Orbit(symbol=sym, e=e, x_left=xl, x_right=xr, period=period,
-                 samples=samples, _sol=sol.sol)
+                 _sol=sol.sol)
 
 
-def orbit_integral(orb, f, rel_tol=1e-10, n0=64, max_refine=6):
+TRAPEZOID_POINTS = 64       # first uniform sample count of orbit_integral
+TRAPEZOID_REFINEMENTS = 6   # its doublings before ConvergenceError
+
+
+def orbit_integral(orb, f, rel_tol=1e-10):
     """\\oint f(x(t), xi(t)) dt over one period.
 
-    ``f`` must accept numpy arrays.  Resolution is doubled until two
-    successive trapezoid values agree to rel_tol.
+    ``f`` must accept numpy arrays.  Resolution is doubled from
+    TRAPEZOID_POINTS until two successive trapezoid values agree to
+    rel_tol.
     """
-    n = n0
+    n = TRAPEZOID_POINTS
     _, x, xi = orb.sample_uniform(n)
     prev = orb.period * float(np.mean(f(x, xi)))
-    for _ in range(max_refine):
+    for _ in range(TRAPEZOID_REFINEMENTS):
         n *= 2
         _, x, xi = orb.sample_uniform(n)
         cur = orb.period * float(np.mean(f(x, xi)))
@@ -287,7 +288,7 @@ def orbit_integral(orb, f, rel_tol=1e-10, n0=64, max_refine=6):
             return cur
         prev = cur
     raise ConvergenceError("orbit integral did not converge "
-                           f"after {max_refine} refinements")
+                           f"after {TRAPEZOID_REFINEMENTS} refinements")
 
 
 def action_s0(orb, rel_tol=1e-10):

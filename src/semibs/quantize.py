@@ -7,8 +7,8 @@ The level condition solved here is
          - \\oint p2 dt,
 
 with the Maslov contribution of the two focal points folded into the
-half-integer offset; S2 is ``actions.s2_value`` at ``S2_SIGN``, the same
-value as ``ActionSeries.s2``.
+half-integer offset; S2 is ``actions.s2_value``, the same value as
+``ActionSeries.s2``.
 
 A request reads its left-hand side S_eff(E), at every order up to its own,
 from one ``SEffTable``: S0, \\oint p1 dt, \\oint p2 dt, \\oint V'' dt and
@@ -27,14 +27,16 @@ MAX_SPLIT_ROUNDS rounds, or past MAX_TABLE_PIECES pieces, the table raises
 ConvergenceError, so no value comes from a piece that failed its test.  No
 ODE orbit is traced and no scalar quadrature is made here.
 
-Levels are roots of S_eff = 2 pi h (k + 1/2) on the table.  The roots of
+Levels are roots of S_eff = 2 pi h (k + 1/2) on the table, for the k of
+``_level_ks``.  The roots of
 dS_eff/dE (companion-matrix eigenvalues) cut every piece into monotone
 segments; a segment whose end values straddle a target holds one root,
 refined by safeguarded Newton steps on its series.  The one scan serves a
 monotone and a non-monotone S_eff alike.  ``bs_solve`` keeps, per level,
 the first root inside the window; where a lower order's level lies past
 the table, the table is extended there.  ``gram_scan`` reads its energy
-grid and its zeros, every root in the window, from the same table.  The Gram determinant is the closed form
+grid and its zeros, every root in the window of the same targets, from the
+same table.  The Gram determinant is the closed form
 -cos^2(action_diff/(2h) + pi/2) whose zero set coincides with the level set
 of the condition above.
 """
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .actions import S2_SIGN, action_series, orbit_integrands, s2_value
+from .actions import action_series, orbit_integrands, s2_value
 from .orbit import ConvergenceError, orbit_quadrature
 from .symbols import scan_domain, well_minimum
 
@@ -117,9 +119,9 @@ class SEffTable:
     pieces of Chebyshev series (see the module docstring).  ``bottom`` is
     the well's minimum value, which an extension downwards stays above."""
 
-    def __init__(self, sym, h, order, lo, hi, quad_tol, s2_sign, bottom):
+    def __init__(self, sym, h, order, lo, hi, quad_tol, bottom):
         self.sym, self.h, self.order = sym, h, order
-        self.quad_tol, self.s2_sign, self.bottom = quad_tol, s2_sign, bottom
+        self.quad_tol, self.bottom = quad_tol, bottom
         # S1 reads oint p1 dt, S2 all four integrals
         self._fs = orbit_integrands(sym)[:(0, 1, 4)[order]]
         self._lo = np.empty(0)
@@ -129,7 +131,7 @@ class SEffTable:
         self._add(lo, hi)
 
     @classmethod
-    def for_window(cls, sym, h, order, window, quad_tol=1e-12, s2_sign=None):
+    def for_window(cls, sym, h, order, window, quad_tol=1e-12):
         """The table on the window padded by TABLE_PAD of its span: the
         lower pad held above the well bottom, the upper one halved until
         the well still holds its end (below a barrier top or a
@@ -144,8 +146,7 @@ class SEffTable:
             if scan_domain(sym.potential, window.e_max + pad) is not None:
                 break
             pad *= 0.5
-        return cls(sym, h, order, lo, window.e_max + pad, quad_tol,
-                   S2_SIGN if s2_sign is None else s2_sign, bottom)
+        return cls(sym, h, order, lo, window.e_max + pad, quad_tol, bottom)
 
     @property
     def lo(self):
@@ -173,7 +174,7 @@ class SEffTable:
             def d_de(k):   # the E-derivative's series, zero-padded
                 d = chebyshev.chebder(c[k], axis=-1) * (2.0 / (hi - lo))
                 return np.pad(d, ((0, 0), (0, 1)))
-            s2 = s2_value(4.0 * d_de(3), d_de(4), c[2], self.s2_sign)
+            s2 = s2_value(4.0 * d_de(3), d_de(4), c[2])
             series.append(series[1] + self.h * self.h * s2)
         return c, np.array(series)
 
@@ -358,38 +359,40 @@ def _levels(table, order, targets, window, root_tol):
         table.extend(down=bool(target < table.value([table.lo], order)[0]))
 
 
-def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10,
-             s2_sign=None):
+def _level_ks(table, order, window):
+    """The k >= 0 whose target 2 pi h (k + 1/2) S_eff at ``order`` takes
+    on the window (its extremes over ``monotone_cuts``), within 1e-12 of a
+    spacing.  h^2 S2 may drive S_eff below 0 near the well bottom, where no
+    order-0 level lies (S0 >= 0), so k < 0 is never a level."""
+    s = table.value(table.monotone_cuts(order, window.e_min, window.e_max),
+                    order) / (2.0 * math.pi * table.h)
+    return np.arange(max(math.ceil(s.min() - 0.5 - 1e-12), 0),
+                     math.floor(s.max() - 0.5 + 1e-12) + 1)
+
+
+def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10):
     """Solve the quantization condition on the window at the given order.
 
     Returns a SpectrumTable whose rows carry the eigenvalue at every order
     up to ``order`` (higher-order columns repeat the last computed one).
-    The rows are the k whose target 2 pi h (k + 1/2) S_eff at ``order``
-    takes on the window; each order's level is its first root inside the
-    window, else its root nearest to it (``_levels``).
+    The rows are the k of ``_level_ks``; each order's level is its first
+    root inside the window, else its root nearest to it (``_levels``).
     """
     if order not in (0, 1, 2):
         raise QuantizeError("order must be 0, 1 or 2")
     if not (math.isfinite(h) and h > 0):
         raise QuantizeError("h must be positive and finite")
-    table = SEffTable.for_window(sym, h, order, window, quad_tol, s2_sign)
+    table = SEffTable.for_window(sym, h, order, window, quad_tol)
 
     cuts = table.monotone_cuts(0, window.e_min, window.e_max)
     if not np.all(np.diff(table.value(cuts, 0)) > 0):
         raise QuantizeError(
             "S0 is not increasing on the window; the well hypotheses fail")
 
-    s_lo, s_hi = table.value([window.e_min, window.e_max], order)
-    lo, hi = (s_lo, s_hi) if s_lo < s_hi else (s_hi, s_lo)
-    two_pi_h = 2.0 * math.pi * h
-    # h^2 S2 may drive S_eff below 0 near the well bottom, where no order-0
-    # level lies (S0 >= 0): rows start at k = 0
-    k_min = max(math.ceil(lo / two_pi_h - 0.5 - 1e-12), 0)
-    k_max = math.floor(hi / two_pi_h - 0.5 + 1e-12)
-    if k_max < k_min:
+    ks = _level_ks(table, order, window)
+    if not ks.size:
         raise QuantizeError("no quantization levels inside the window")
-    ks = np.arange(k_min, k_max + 1)
-    targets = two_pi_h * (ks + 0.5)
+    targets = 2.0 * math.pi * h * (ks + 0.5)
 
     levels = [_levels(table, m, targets, window, root_tol)
               for m in range(order + 1)]
@@ -401,7 +404,7 @@ def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10,
         for k, e0, e1, e2 in zip(ks, *levels)])
 
 
-def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None):
+def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12):
     """Analytic Gram determinant at energy e, the tests' reference.
 
     action_diff is the difference of the two generalized branch actions,
@@ -415,9 +418,7 @@ def gram_det(sym, e, h, order=2, eta=None, quad_tol=1e-12, s2_sign=None):
         if eta is None:
             raise QuantizeError("gram_det at order 2 needs eta")
         ser = action_series(sym, e, eta, quad_tol=quad_tol)
-        s2 = s2_value(ser.gamma_dd, ser.p1sq_d, ser.p2_int,
-                      S2_SIGN if s2_sign is None else s2_sign)
-        s_eff = ser.s0 - h * ser.sub_principal + h * h * s2
+        s_eff = ser.s0 - h * ser.sub_principal + h * h * ser.s2
     else:
         s0, ints = orbit_quadrature(sym, e, orbit_integrands(sym)[:order],
                                     rel_tol=quad_tol)
@@ -433,28 +434,23 @@ def _gram_eval(e, h, s_eff):
                     maslov_phase=MASLOV_PHASE, det=det)
 
 
-def gram_scan(sym, window, h, steps=200, order=2, quad_tol=1e-12,
-              s2_sign=None):
+def gram_scan(sym, window, h, steps=200, order=2, quad_tol=1e-12):
     """The Gram determinant on a uniform grid of the window, and its zeros.
 
     Returns (evals, zeros): the grid of GramEval records and every energy
-    of the window where S_eff = 2 pi h (k + 1/2), det's zero set, both read
-    from one ``SEffTable``.
+    of the window where S_eff = 2 pi h (k + 1/2) for the k of
+    ``_level_ks``, det's zero set, both read from one ``SEffTable``.
     """
     if steps < 2:
         raise QuantizeError("gram_scan requires steps >= 2")
-    table = SEffTable.for_window(sym, h, order, window, quad_tol, s2_sign)
+    table = SEffTable.for_window(sym, h, order, window, quad_tol)
     es = np.linspace(window.e_min, window.e_max, steps)
     evals = [_gram_eval(e, h, s)
              for e, s in zip(es.tolist(), table.value(es, order).tolist())]
 
-    s = table.value(table.monotone_cuts(order, window.e_min, window.e_max),
-                    order)
-    two_pi_h = 2.0 * math.pi * h
-    ks = np.arange(math.ceil(s.min() / two_pi_h - 0.5),
-                   math.floor(s.max() / two_pi_h - 0.5) + 1)
-    _, zeros = table.roots(order, two_pi_h * (ks + 0.5), window.e_min,
-                           window.e_max, root_tol=0.0)
+    targets = 2.0 * math.pi * h * (_level_ks(table, order, window) + 0.5)
+    _, zeros = table.roots(order, targets, window.e_min, window.e_max,
+                           root_tol=0.0)
     return evals, sorted(zeros.tolist())
 
 

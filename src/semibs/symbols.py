@@ -116,7 +116,6 @@ class WellReport:
     margin: float = float("inf")  # min |V'| at sampled turning points
     scan_domain: tuple = (0.0, 0.0)
     failures: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
     def __bool__(self):
         return self.ok

@@ -113,20 +113,20 @@ def _bump_d(s):
 # Gauss-Legendre 5-point nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 
+
+def _cumulative_integral(f, xs):
+    """Cumulative integral of f from xs[0] along the grid, GL5 per cell."""
+    a, b = xs[:-1], xs[1:]
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = (mid[:, None] + rad[:, None] * _GL_X[None, :]).ravel()
+    vals = f(nodes).reshape(len(a), len(_GL_X))
+    cells = rad * (vals @ _GL_W)
+    return np.concatenate([[0.0], np.cumsum(cells)])
+
+
 # cumulative integral of the bump on [-1, 1], 400 cells of GL5 each
 _S_EDGES = np.linspace(-1.0, 1.0, 401)
-
-
-def _build_bump_cum():
-    a, b = _S_EDGES[:-1], _S_EDGES[1:]
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + rad[:, None] * _GL_X[None, :]
-    cells = rad * (_bump(nodes) @ _GL_W)
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    return cum
-
-
-_BUMP_CUM = _build_bump_cum()
+_BUMP_CUM = _cumulative_integral(_bump, _S_EDGES)
 _BUMP_TOTAL = float(_BUMP_CUM[-1])
 
 
@@ -280,16 +280,6 @@ def _check_grid(sym, e, h, xs, v):
         raise GridError(f"dx = {dx:.3e} exceeds the sampling bound "
                         f"{h / (10.0 * xi_max):.3e}")
     return xl, xr
-
-
-def _cumulative_integral(f, xs):
-    """Cumulative integral of f from xs[0] along the grid, GL5 per cell."""
-    a, b = xs[:-1], xs[1:]
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (mid[:, None] + rad[:, None] * _GL_X[None, :]).ravel()
-    vals = f(nodes).reshape(len(a), len(_GL_X))
-    cells = rad * (vals @ _GL_W)
-    return np.concatenate([[0.0], np.cumsum(cells)])
 
 
 OFFSET_NODES = 8           # first Gauss-Legendre node count of an offset

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from semibs import wronlab
+from semibs import actions, wronlab
 from semibs.actions import action_series
 from semibs.exprjet import evaluate, jet_eval, parse
 from semibs.oracle import _solve_on_grid, OracleConfig, oracle_spectrum
-from semibs.quantize import (S2_SIGN, attach_oracle, bs_solve,
-                             convergence_fit, gram_scan)
+from semibs.quantize import (attach_oracle, bs_solve, convergence_fit,
+                             gram_scan)
 from semibs.symbols import EnergyWindow, builtin
 
 
@@ -61,7 +61,7 @@ def _oracle_levels(sym, h, window):
     return dict(zip(counts, energies))
 
 
-def test_ac3_order_improvement(quartic, window):
+def test_ac3_order_improvement(quartic, window, monkeypatch):
     """Quartic well: order-2 errors are strictly smaller and decay faster
     under h-refinement; this run also pins down the sign of the h^2 term."""
     t0 = time.perf_counter()
@@ -83,12 +83,15 @@ def test_ac3_order_improvement(quartic, window):
             ok = ok and e2 < e0
     # calibration: the recorded sign must beat the flipped one
     h_cal = 0.05
-    flipped = bs_solve(quartic, h_cal, window, order=2, s2_sign=-S2_SIGN)
+    recorded = actions.S2_SIGN
+    with monkeypatch.context() as m:
+        m.setattr(actions, "S2_SIGN", -recorded)
+        flipped = bs_solve(quartic, h_cal, window, order=2)
     attach_oracle(flipped, _oracle_levels(quartic, h_cal, window))
     err_flipped = max(r.err2 for r in flipped.rows)
     err_recorded = dict(errs2)[h_cal]
     ok = ok and err_recorded < err_flipped
-    print(f"AC-3 s2_sign recorded as {S2_SIGN:+.0f} "
+    print(f"AC-3 S2_SIGN recorded as {recorded:+.0f} "
           f"(err {err_recorded:.2e} vs flipped {err_flipped:.2e})")
     _verdict("AC-3", ok, t0, 120.0)
 

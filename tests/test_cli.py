@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import semibs
-from semibs import cli, exprjet, orbit, quantize, symbols, wronlab
+from semibs import cli, exprjet, oracle, orbit, quantize, symbols, wronlab
 from semibs.cli import (CONFIG_KEYS, EXIT_NONCONVERGENCE, EXIT_OK,
                         EXIT_VALIDATION, ConfigError, RunConfig, main,
                         parse_config)
@@ -233,7 +233,7 @@ def test_an_overflowing_orbit_quadrature_exits_3_without_warnings(
     assert "orbit quadrature overflowed" in run.stderr
 
 
-ORACLE_FAILS_CONFIG = """\
+HIGH_LEVELS_CONFIG = """\
 [problem]
 potential = "x^2"
 hbar = 0.001
@@ -242,11 +242,14 @@ energy_max = 0.51
 """
 
 
-def test_spectrum_stands_when_only_the_oracle_fails(tmp_path, capsys):
-    # levels near n = 250: four doublings of the oracle's grid do not reach
-    # its agreement tolerance, so oracle exits 3; spectrum's own levels
-    # stand, with the oracle columns blank and the reason on stderr
-    cfg = _write(tmp_path, ORACLE_FAILS_CONFIG)
+def test_spectrum_stands_when_only_the_oracle_fails(tmp_path, capsys,
+                                                    monkeypatch):
+    # levels near n = 250 on an oracle base grid held at BASE_N points
+    # (k dx = 1.07 at the top level): four doublings do not reach its
+    # agreement tolerance, so oracle exits 3; spectrum's own levels stand,
+    # with the oracle columns blank and the reason on stderr
+    monkeypatch.setattr(oracle, "MAX_BASE_N", oracle.BASE_N)
+    cfg = _write(tmp_path, HIGH_LEVELS_CONFIG)
     reason = "oracle did not converge under grid refinement"
     assert main(["oracle", "--config", cfg]) == EXIT_NONCONVERGENCE
     assert reason in capsys.readouterr().err
@@ -266,6 +269,16 @@ def _spectrum_rows(tmp_path, capsys, text):
     assert main(["spectrum", "--config", _write(tmp_path, text)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     return [line.split(",") for line in lines[1:]]
+
+
+def test_a_base_grid_sized_from_k_dx_fills_the_oracle_columns(tmp_path,
+                                                              capsys):
+    # the same levels on a base grid of 4572 points, k dx = 0.5
+    rows = _spectrum_rows(tmp_path, capsys, HIGH_LEVELS_CONFIG)
+    assert [int(r[0]) for r in rows] == [250, 251, 252, 253, 254]
+    for r in rows:
+        assert float(r[4]) == pytest.approx(0.001 * (2 * int(r[0]) + 1),
+                                            abs=1e-9)
 
 
 def test_oracle_columns_pair_by_node_count(tmp_path, capsys):
@@ -629,6 +642,24 @@ def test_wronskian_check_gram_rows_use_the_configured_cutoffs(
     assert [(c.r1, c.r2) for c in cutoffs[0]] == [(0.35, 0.55)] * 2
     for name in ("flux_norm_a", "gram_off_diagonal"):
         assert custom[name] != default[name], name
+
+
+@pytest.mark.parametrize("radii, key", [
+    ("cutoff_r1 = 0.3\n", "cutoff_r1 is set alone"),
+    ("cutoff_r2 = 0.5\n", "cutoff_r2 is set alone"),
+    ("cutoff_r1 = 0.5\ncutoff_r2 = 0.3\n", "0 < cutoff_r1 < cutoff_r2"),
+    ("cutoff_r1 = 0.4\ncutoff_r2 = 0.4\n", "0 < cutoff_r1 < cutoff_r2"),
+    ("cutoff_r1 = -0.1\ncutoff_r2 = 0.3\n", "0 < cutoff_r1 < cutoff_r2"),
+])
+def test_bad_cutoff_radii_exit_2(tmp_path, capsys, radii, key):
+    # the radii go together and need 0 < r1 < r2: a config error, refused
+    # before any work, with the keys named
+    text = CUTOFF_CONFIG + "[wronlab]\n" + radii
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
 
 
 def test_grid_points_per_oscillation_is_used_as_given(tmp_path, capsys,

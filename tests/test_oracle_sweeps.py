@@ -145,6 +145,21 @@ def test_a_barrier_below_the_padded_target_is_refused():
                 OracleConfig())
 
 
+def test_a_window_above_the_potential_is_refused():
+    # the Morse well's asymptote 1 lies below e_max: no scan domain, so no
+    # well minimum, for e_max
+    with pytest.raises(ConfinementError, match="V never exceeds e_max"):
+        _domain(from_potential("(1 - exp(-x))^2"), 0.1,
+                EnergyWindow(0.5, 1.5), OracleConfig())
+    # narrow spikes to V = 2.6 at x = +-1 end the scan domain there, but
+    # the wall search's widening steps from x0 = 0 jump over them, and
+    # beyond them V stays below 1
+    spiked = from_potential("1 - exp(-(x^2)) + 2*exp(-1e6*(x - 1)^2)"
+                            " + 2*exp(-1e6*(x + 1)^2)")
+    with pytest.raises(ConfinementError, match="V never exceeds e_max"):
+        _domain(spiked, 0.1, EnergyWindow(0.2, 1.5), OracleConfig())
+
+
 def test_a_scaled_wall_stops_inside_the_barrier():
     sym = from_potential(CUBIC)
     h, window = 0.1, EnergyWindow(0.05, 1.0)
@@ -183,12 +198,37 @@ def test_walls_deep_in_the_forbidden_region_move_in(window):
     assert _grid(sym, xl, xr, oracle.BASE_N).f_min(h) < 0.0
     base, left, right = _base_grid(sym, h, edge, xl, xr)
     assert xl < left < -1.0 and right == xr
-    assert base.v.size == oracle.BASE_N and base.f_min(h) >= oracle.F_MIN
+    # the grid is the k dx one of the moved walls, not refined for f
+    k_max = np.sqrt(edge.e_max) / h
+    assert base.v.size == oracle._base_points(left, right, k_max)
+    assert base.f_min(h) >= oracle.F_MIN
     # a well-resolved interval is left as it is
     sym = builtin("harmonic")
     xl, xr = _domain(sym, 0.1, window, OracleConfig())
     base, left, right = _base_grid(sym, 0.1, window, xl, xr)
     assert (left, right, base.v.size) == (xl, xr, oracle.BASE_N)
+
+
+def test_a_long_interval_sizes_its_base_grid_from_k_dx():
+    """On 3 (1 - exp(-x/2))^2 at h = 0.05 the interval reaches x = 49.7
+    on the asymptote: BASE_N points give k dx = 0.89 at the top level, and
+    four doublings do not bring two grids within GRID_AGREE_TOL at level
+    29.  Sized for k dx <= KDX_MAX, the grid gives the 28 levels n = 29..56
+    to within 1e-9 of sqrt(3) h (n + 1/2) - h^2 (n + 1/2)^2 / 4."""
+    sym, h = from_potential("3*(1 - exp(-0.5*x))^2"), 0.05
+    window = EnergyWindow(2.0, 2.9)
+    xl, xr = _domain(sym, h, window, OracleConfig())
+    k_max = np.sqrt(window.e_max) / h
+    assert k_max * (xr - xl) / (oracle.BASE_N - 1) > 0.8
+    base, _, _ = _base_grid(sym, h, window, xl, xr)
+    assert base.v.size > oracle.BASE_N
+    assert k_max * base.dx <= oracle.KDX_MAX
+    energies, counts = oracle.oracle_spectrum(sym, h, window,
+                                              return_counts=True)
+    assert counts == list(range(29, 57))
+    for n, e in zip(counts, energies):
+        exact = np.sqrt(3.0) * h * (n + 0.5) - (h * (n + 0.5)) ** 2 / 4.0
+        assert e == pytest.approx(exact, abs=1e-9)
 
 
 def test_a_grid_too_coarse_for_exact_counts_is_refined_up_to_a_cap(

@@ -115,6 +115,30 @@ def test_array_quadrature_is_the_same_in_chunks(monkeypatch):
     assert np.array_equal(whole[1], chunked[1])
 
 
+def test_an_array_quadrature_accepts_each_energy_at_its_own_doubling(
+        monkeypatch):
+    # oint cos(8x) dt on x^2 oscillates faster the wider the orbit: three
+    # energies agree at 64 nodes, E = 4 only at 128, so one array call
+    # accepts them a doubling apart and refines E = 4 alone
+    sym = builtin("harmonic", {"p1": "cos(8*x)"})
+    fs = [lambda x, xi: evaluate(sym.p1, x, xi) + 0.0 * x]
+    es = np.array([0.04, 0.3, 1.0, 4.0])
+    shapes = []    # (energies, nodes) of every row sum
+    row_sums = orbit._row_sums
+
+    def recorded(arrays, rad):
+        shapes.append(np.shape(arrays[0]))
+        return row_sums(arrays, rad)
+
+    monkeypatch.setattr(orbit, "_row_sums", recorded)
+    s0, (p1,) = orbit_quadrature(sym, es, fs)
+    assert (4, 64) in shapes and shapes[-1] == (1, 128)
+    monkeypatch.undo()
+    ref = [orbit_quadrature(sym, e, fs) for e in es]
+    assert _ulps(s0, np.array([r[0] for r in ref])) <= 4
+    np.testing.assert_allclose(p1, [r[1][0] for r in ref], rtol=1e-12)
+
+
 def test_quadrature_matches_ode_reference():
     """S0 and oint f dt from one quadrature against trace_orbit plus
     orbit_integral, for 1, p1, p2, Gamma and p1^2 (p1 odd in xi)."""

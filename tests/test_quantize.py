@@ -138,6 +138,28 @@ def test_a_lower_order_level_beyond_the_pad_extends_the_table():
         assert r.e_order0 == pytest.approx(0.4 * (r.n + 0.5), abs=1e-10)
 
 
+def test_a_lower_order_level_above_the_pad_extends_the_table_up(
+        monkeypatch):
+    """x^2 with p2 = -30 x^2 at h = 0.2: S_eff = 1.6 pi E, so level 2 sits
+    at E = 0.625 in [0.3, 0.7], while its order-0 level E = 1.0 lies above
+    the table's padded edge 0.72; the table grows up to reach it."""
+    downs = []
+    extend = SEffTable.extend
+
+    def recorded(table, down):
+        downs.append(down)
+        extend(table, down)
+
+    monkeypatch.setattr(SEffTable, "extend", recorded)
+    sym = builtin("harmonic", {"p2": "-30*x^2"})
+    table = bs_solve(sym, 0.2, EnergyWindow(0.3, 0.7), order=2)
+    assert downs and not any(downs)
+    assert [r.n for r in table.rows] == [1, 2]
+    for r in table.rows:
+        assert r.e_order2 == pytest.approx(0.25 * (r.n + 0.5), abs=1e-9)
+        assert r.e_order0 == pytest.approx(0.4 * (r.n + 0.5), abs=1e-10)
+
+
 def test_s0_not_increasing_is_refused(monkeypatch, harmonic, window):
     def quadrature(sym, e, fs=(), rel_tol=1e-12):   # S0 dips in the window
         e = np.asarray(e, dtype=float)
@@ -273,6 +295,17 @@ def test_gram_scan_zeros_match_bs_roots(harmonic, window):
     assert len(zeros) == len(roots)
     for z, r in zip(sorted(zeros), sorted(roots)):
         assert abs(z - r) <= 1e-8 * (1.0 + abs(r))
+
+
+def test_gram_zeros_from_the_well_bottom_are_the_rows(quartic):
+    """On x^4 at h = 0.05 from E = 1e-6, h^2 S2 drives order-2 S_eff to
+    -23 at the window's lower end, where the targets of k < 0 have roots
+    but no level lies: the zeros are the E_bs2 of the 11 rows, k = 0..10."""
+    h, window = 0.05, EnergyWindow(1e-6, 1.0)
+    rows = bs_solve(quartic, h, window, order=2).rows
+    _, zeros = gram_scan(quartic, window, h, order=2)
+    assert [r.n for r in rows] == list(range(11))
+    assert zeros == pytest.approx([r.e_order2 for r in rows], abs=1e-12)
 
 
 def test_gram_scan_grid_shape(harmonic, window):
