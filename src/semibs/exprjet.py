@@ -15,6 +15,11 @@ Differentiation is forward-mode on bivariate Taylor jets truncated at
 total degree 4 (enough for the fourth x-derivatives that the second-order
 action corrections require).  Jet arithmetic is exact truncated-polynomial
 algebra; no finite differences are involved.
+
+Precedence follows the usual notation: ``^`` binds tightest and groups to
+the right, unary minus binds looser than ``^`` and tighter than ``*`` and
+``/``, so ``-x^2`` is -(x^2) and ``exp(-x^2)`` is exp(-(x^2)); a negated
+number is a number, so ``x^-2`` raises x to the literal -2.
 """
 
 from __future__ import annotations
@@ -116,7 +121,10 @@ class BinOp(_Node):
     __hash__ = _Node.__hash__
 
     def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
+        left = str(self.left)
+        if self.op == "^" and left.startswith("-"):   # (-2)^2, not -(2^2)
+            left = f"({left})"
+        return f"({left} {self.op} {self.right})"
 
 
 @dataclass(frozen=True)
@@ -231,6 +239,12 @@ def parse(text, params=None):
         return node
 
     def factor():
+        # unary minus binds looser than ^: -x^2 = -(x^2); a negated literal
+        # is a literal: x^-2 = x^Num(-2)
+        if toks.peek()[0] == "-":
+            toks.next()
+            arg = factor()
+            return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
         node = base()
         if toks.peek()[0] == "^":
             toks.next()
@@ -241,9 +255,6 @@ def parse(text, params=None):
         kind, value, offset = toks.next()
         if kind == "num":
             return Num(value)
-        if kind == "-":  # a negated literal is a literal: x^-2 = x^Num(-2)
-            arg = base()
-            return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
         if kind == "(":
             node = expr()
             kind2, _, off2 = toks.next()

@@ -1,23 +1,29 @@
 """Independent eigenvalue oracle: Numerov shooting with node counting.
 
 Solves -h^2 y'' + V y = E y on a Dirichlet-truncated interval.  Every
-level is bracketed by Sturm node counts of the Numerov sweep alone: on the
-base grid the energy range is bisected on the count until the bracket
-holds that level and no other, and the counts taken are shared by all the
-levels of the request.  The level is then found by brentq on the Numerov
-matching defect at the well minimum and confirmed by node counts again; a
-level with no confirmed root is an OracleError.  Grid resolution is
-doubled (with one Richardson step) until two grids agree; a doubled grid
-first tries the previous grid's level widened by twice that grid's error
-bound, and keeps it only when two node counts confirm it.  Each grid, and
-V on it, is built once per request.
+level is a root of the Numerov matching defect at the well minimum, found
+by Cooley's Newton corrector (J. W. Cooley, Math. Comp. 15 (1961) 363):
+each shot gives the defect and its Newton step from the same two sweeps,
+and a step that leaves the bracket is replaced by bisection.  A root
+stands only when node counts on either side of it confirm the level; a
+level with no confirmed root is an OracleError.  On the base grid Newton
+starts inside a Sturm bracket: the energy range is bisected on the node
+count until the bracket holds that level and no other, and the counts
+taken are shared by all the levels of the request.  Grid resolution is
+doubled (with one Richardson step) until two grids agree; on a doubled
+grid Newton starts from the previous grid's level, inside twice that
+grid's error bound, with no count taken first, and falls back to a Sturm
+bracket only when the root's own counts refuse it.  Each grid, and V on
+it, is built once per request.
 
 The Dirichlet interval is built outward from the well minimum that
 ``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or
 ``quantize``.  The base grid resolves the top level's wavenumber k to
-k dx <= KDX_MAX, however long the interval.  A node count is exact only
-where f = 1 + dx^2 (E - V) / (12 h^2) stays positive, so walls deep in the
-forbidden region are moved in, or the base grid refined, until it does.
+k dx <= KDX_MAX, however long the interval; an interval that needs more
+than MAX_BASE_N points for that is refused before any sweep.  A node count
+is exact only where f = 1 + dx^2 (E - V) / (12 h^2) stays positive, so
+walls deep in the forbidden region are moved in, or the base grid refined,
+until it does.
 Each Numerov sweep is a banded triangular solve in BLAS; where one passes
 1e200, the sweep resumes from its last two values scaled by 1e-200.
 """
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.optimize import brentq
 
 from .symbols import well_minimum
 
@@ -56,6 +61,7 @@ MAX_GRID_DOUBLINGS = 4
 F_MIN = 0.5                # least f = 1 + dx^2 (E - V) / (12 h^2) counted on
 TAIL_MIN = 30.0            # WKB tail exponent kept beyond a moved wall
 MAX_BASE_N = 16 * BASE_N   # points of the base grid at most
+MAX_NEWTON_STEPS = 100     # shots per root solve at most
 
 
 @dataclass
@@ -99,46 +105,79 @@ def _wronskian(yl, yl_next, yr, yr_next):
 
 def _dirichlet_sweep(f):
     """`_sweep` from the Dirichlet pair (0, 1e-10), resumed where it
-    overflows.
+    overflows; returns y_1 .. y_m and the index in it where the last run
+    starts.
 
     A run whose last value passes 1e200 is cut where it first passed 1e200,
     and the next run starts from the value before that point and the
-    value past it, each times 1e-200.  Signs survive the rescaling, so
-    node counts stay exact, and the last two values always come from one
-    run, so the Wronskian of unit-scaled shots is unchanged.  A run that
+    value past it, each times 1e-200; both belong to the next run, so the
+    values of one run share one scale.  Signs survive the rescaling, so
+    node counts stay exact.  The last run holds at least the last two
+    values, so the Wronskian of unit-scaled shots is unchanged.  A run that
     ends at or below 1e200 is finite throughout, since a value that
     overflows stays non-finite.
     """
     runs, start, y0, y1 = [], 0, 0.0, 1e-10
     while True:
         y = _sweep(f[start:], y0, y1)       # y_{start+1} .. y_m
+        first = start + 1                   # the index of y[0]
+        if runs:                            # y_start .. y_m
+            y, first = np.concatenate(([y0], y)), start
         past = [] if abs(y[-1]) <= 1e200 else \
             np.flatnonzero(np.abs(y[:-1]) > 1e200)
         # a value that jumps past 1e200 to inf cannot be resumed
         if len(past) == 0 or not np.isfinite(y[past[0]]):
-            return np.concatenate(runs + [y]) if runs else y
+            if not runs:
+                return y, 0
+            return np.concatenate(runs + [y]), first - 1
         j = int(past[0])    # >= 1: every run starts far below 1e200
-        runs.append(y[:j])
+        runs.append(y[:j - 1])
         y0, y1 = y[j - 1] * 1e-200, y[j] * 1e-200
-        start += j
+        start = first + j - 1
 
 
-def _shoot(k, i_match):
-    """Two-sided Numerov propagation; returns the matching defect.
+def _shoot(k, i_match, pref):
+    """Two-sided Numerov propagation; returns the matching defect D and
+    Cooley's Newton step -D / D' on E.
 
-    k[i] = dx^2/12 * (E - V(x_i)) / h^2.  Dirichlet at both ends.  The
-    defect is the Wronskian of the left and right shots over the points
-    i_match, i_match + 1, each shot scaled to unit length there.  It is
-    zero exactly at an eigenvalue and continuous in E: unlike a jump of
-    the log-derivative it has no pole where a shot has a node at the
-    match point (odd levels of a symmetric well on an odd-sized grid).
-    The match point, V's minimum, lies inside: 1 <= i_match <= n - 3.
+    k[i] = pref (E - V(x_i)) with pref = dx^2 / (12 h^2).  Dirichlet at
+    both ends.  The defect is the Wronskian of the left and right shots
+    over the points i_match, i_match + 1, each shot scaled to unit length
+    there.  It is zero exactly at an eigenvalue and continuous in E:
+    unlike a jump of the log-derivative it has no pole where a shot has a
+    node at the match point (odd levels of a symmetric well on an
+    odd-sized grid).  The match point, V's minimum, lies inside:
+    1 <= i_match <= n - 3.
+
+    The step is Cooley's corrector, from the same two sweeps.  The
+    recurrence keeps the Wronskian of z = f y fixed along a sweep, and its
+    E-derivative at the match pair is (dx^2 / h^2) times the sum of y^2
+    over the points the shot covers before it; the defect is that
+    Wronskian over f_m f_{m+1} and the two match norms, m = i_match.
+    Where the unit-scaled shots meet as y_R = c y_L, c = +-1, at a level,
+    this gives D' = (dx^2 / h^2) (c sum y_L^2 + sum y_R^2 / c) /
+    (f_m f_{m+1}), with c taken as the sign of y_L . y_R at the match
+    pair.  Each sum runs over the last run of its sweep, whose values share
+    the scale of the match pair, and each value is divided by the match
+    norm before it is squared, so that the sum cannot overflow.  The step
+    is NaN where the shots give no finite, nonzero D'.
     """
     f = 1.0 + np.asarray(k, dtype=float)
-    left = _dirichlet_sweep(f[:i_match + 2])      # y_1 .. y_{i_match+1}
-    right = _dirichlet_sweep(f[i_match:][::-1])   # y_{n-2} .. y_{i_match}
-    return _wronskian(float(left[-2]), float(left[-1]),
-                      float(right[-1]), float(right[-2]))
+    left, il = _dirichlet_sweep(f[:i_match + 2])      # y_1 .. y_{i_match+1}
+    right, ir = _dirichlet_sweep(f[i_match:][::-1])   # y_{n-2} .. y_{i_match}
+    yl, yl_next = float(left[-2]), float(left[-1])
+    yr, yr_next = float(right[-1]), float(right[-2])
+    d = _wronskian(yl, yl_next, yr, yr_next)
+    norm_l, norm_r = math.hypot(yl, yl_next), math.hypot(yr, yr_next)
+    if norm_l == 0.0 or norm_r == 0.0:
+        return d, math.nan
+    ul, ur = left[il:-1] / norm_l, right[ir:-1] / norm_r
+    c = 1.0 if yl * yr + yl_next * yr_next >= 0.0 else -1.0
+    slope = 12.0 * pref * c * (float(ul @ ul) + float(ur @ ur)) \
+        / (f[i_match] * f[i_match + 1])
+    if not (math.isfinite(slope) and slope != 0.0):
+        return d, math.nan
+    return d, -d / slope
 
 
 def _count_nodes(k):
@@ -148,7 +187,7 @@ def _count_nodes(k):
     strictly below E, which makes it an exact bracketing count.  A change
     is strict: a zero neither counts nor carries a sign.
     """
-    y = _dirichlet_sweep(1.0 + np.asarray(k, dtype=float))   # y_1 .. y_{n-1}
+    y, _ = _dirichlet_sweep(1.0 + np.asarray(k, dtype=float))  # y_1 .. y_{n-1}
     pos, neg = y > 0.0, y < 0.0
     return int(np.count_nonzero(pos[:-1] & neg[1:])
                + np.count_nonzero(neg[:-1] & pos[1:]))
@@ -205,12 +244,37 @@ def _domain(sym, h, window, cfg):
     return extend(-1), extend(+1)
 
 
-def _defect_root(defect, lo, hi, tol):
-    """brentq root of the defect in [lo, hi]; None without a sign change."""
-    d_lo, d_hi = defect(lo), defect(hi)
-    if np.isfinite(d_lo) and np.isfinite(d_hi) and d_lo * d_hi < 0:
-        return brentq(defect, lo, hi,
-                      xtol=tol, rtol=4 * np.finfo(float).eps)
+def _defect_root(shot, lo, hi, e, sign, tol):
+    """Root of the matching defect in (lo, hi) by Newton steps from e;
+    None when MAX_NEWTON_STEPS shots do not find it.
+
+    `shot(E)` returns the defect D and its Newton step (`_shoot`).  The
+    bracket is taken to hold one level, below which sign * D < 0, so each
+    shot moves one end of it to E, and each step is turned towards the
+    level: away from it the sign of y_L . y_R need not be the level's
+    parity.  A step that leaves the bracket is replaced by bisection.  The
+    root is E plus the first step of at most tol, or the middle of a
+    bracket narrower than tol; a defect that is not finite has none."""
+    e = min(max(e, lo), hi)
+    for _ in range(MAX_NEWTON_STEPS):
+        d, step = shot(e)
+        if d == 0.0:
+            return e
+        if not math.isfinite(d):
+            return None
+        if sign * d < 0.0:
+            lo = e
+        else:
+            hi = e
+        step = math.copysign(step, -sign * d)
+        if abs(step) <= tol:
+            return e + step
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        if lo < e + step < hi:
+            e += step
+        else:   # also when the step is NaN
+            e = 0.5 * (lo + hi)
     return None
 
 
@@ -241,38 +305,49 @@ def _solve_on_grid(v_grid, dx, h, i_match, e_lo, e_hi, n_target, tol,
                    guess=None, counts=None):
     """Find the eigenvalue with n_target nodes in (e_lo, e_hi).
 
-    The level is found by brentq on the matching defect inside a Sturm
-    bracket, whose node counts are n_target at its lower end and
-    n_target + 1 at its upper end, so that it holds this level alone.  The
-    bracket is `guess` when its two counts confirm it; otherwise (e_lo,
-    e_hi) is bisected on the node count until it isolates the level.
-    `counts` maps energies to the node counts already taken on this grid;
-    the bisection starts from the tightest bracket in it, and every count
-    taken here is added to it.  The root is kept only when node counts on
-    either side of it confirm the level; without a confirmed root the
-    level is an OracleError, never an unconfirmed energy.
+    The level is found by Newton steps on the matching defect
+    (`_defect_root`), and a root is kept only when node counts on either
+    side of it confirm the level.  With a `guess` (the previous grid's
+    level and a bracket around it) Newton starts from it and no count
+    checks the bracket first: the root's own two counts decide.  Without
+    a guess, or when they refuse its root, (e_lo, e_hi) is bisected on the
+    node count to a Sturm bracket, whose counts are n_target at its lower
+    end and n_target + 1 at its upper end, so that it holds this level
+    alone, and Newton starts from its middle.  `counts` maps energies to
+    the node counts already taken on this grid; the bisection starts from
+    the tightest bracket in it, and every count taken here is added to
+    it.  Without a confirmed root the level is an OracleError, never an
+    unconfirmed energy.
     """
     pref = dx * dx / (12.0 * h * h)
     counts = {} if counts is None else counts
+    sign = -1.0 if n_target % 2 else 1.0
 
-    def defect(e):
-        return _shoot(pref * (e - v_grid), i_match)
+    def shot(e):
+        return _shoot(pref * (e - v_grid), i_match, pref)
 
     def nodes(e):
         if e not in counts:
             counts[e] = _count_nodes(pref * (e - v_grid))
         return counts[e]
 
+    def confirmed(e):
+        if e is None:
+            return False
+        eps = max(2.0 * tol, 1e-13 * (1.0 + abs(e)))
+        return nodes(e - eps) <= n_target < nodes(e + eps)
+
     if guess is not None:
         lo, hi = max(guess[0], e_lo), min(guess[1], e_hi)
-    if guess is None or not (lo < hi and nodes(lo) == n_target
-                             and nodes(hi) == n_target + 1):
-        lo, hi = _isolate(nodes, counts, e_lo, e_hi, n_target)
-    e = _defect_root(defect, lo, hi, tol)
-    if e is not None:
-        eps = max(2.0 * tol, 1e-13 * (1.0 + abs(e)))
-        if nodes(e - eps) <= n_target < nodes(e + eps):
-            return e
+        if lo < hi:
+            e = _defect_root(shot, lo, hi, 0.5 * (guess[0] + guess[1]),
+                             sign, tol)
+            if confirmed(e):
+                return float(e)
+    lo, hi = _isolate(nodes, counts, e_lo, e_hi, n_target)
+    e = _defect_root(shot, lo, hi, 0.5 * (lo + hi), sign, tol)
+    if confirmed(e):
+        return float(e)
     raise OracleError(
         f"no confirmed root of the matching defect for the level with"
         f" {n_target} nodes in ({lo!r}, {hi!r})")
@@ -338,10 +413,15 @@ def _tail_wall(sym, h, x0, wall, e_top):
 
 
 def _base_points(xl, xr, k_max):
-    """Points of a grid on (xl, xr) with k_max dx <= KDX_MAX: at least
-    BASE_N, at most MAX_BASE_N."""
+    """Points of a grid on (xl, xr) with k_max dx <= KDX_MAX, at least
+    BASE_N; an OracleError, before any sweep, when that is more than
+    MAX_BASE_N."""
     n = math.ceil(1.0 + (xr - xl) * k_max / KDX_MAX)
-    return min(max(BASE_N, n), MAX_BASE_N)
+    if n > MAX_BASE_N:
+        raise OracleError(
+            f"the Numerov grid would need {n} points, more than {MAX_BASE_N},"
+            f" to resolve k dx <= {KDX_MAX} on ({xl}, {xr})")
+    return max(BASE_N, n)
 
 
 def _base_grid(sym, h, window, xl, xr):
@@ -429,9 +509,9 @@ def _refined_level(grids, h, n_nodes, e_lo, e_hi, tol):
     """One eigenvalue, solved on each grid in turn until two agree, with
     one Richardson step.
 
-    A doubled grid first tries the bracket of twice the previous grid's
-    error bound around the previous level, and isolates the level in
-    (e_lo, e_hi) only when the node counts refuse that bracket."""
+    A doubled grid starts Newton from the previous level, inside twice
+    the previous grid's error bound around it, and isolates the level in
+    (e_lo, e_hi) only when the node counts refuse the root found there."""
     prev = guess = None
     for g in grids:
         e = _solve_on_grid(g.v, g.dx, h, g.i_match, e_lo, e_hi, n_nodes,

@@ -272,29 +272,33 @@ def validate_well(sym, window):
         report.failures.append(
             f"V(x0) = {report.v_min:.6g} is not below e_min = {window.e_min:.6g}")
 
+    # all energies in one array pass: the runs of {V <= E} and the coarse
+    # turning points (sign changes of V - E) of each; flat indices over
+    # the rows, in the order a loop over the energies would meet them
     energies = np.linspace(window.e_min, window.e_max, WELL_ENERGY_SAMPLES)
-    for e in energies:
-        below = vs <= e
-        # count maximal runs of True
-        runs = int(np.count_nonzero(np.diff(below.astype(int)) == 1))
-        runs += 1 if below[0] else 0
-        if runs != 1:
+    cells = xs.size - 1
+    below = vs[None, :] <= energies[:, None]
+    rises = np.flatnonzero(below[:, 1:] > below[:, :-1]) // cells
+    runs = np.bincount(rises, minlength=energies.size) + below[:, 0]
+    bad = np.flatnonzero(runs != 1)
+    # energies after the first with other than one run are not checked
+    checked = int(bad[0]) if bad.size else energies.size
+    neg = np.signbit(vs[None, :] - energies[:checked, None])
+    rows, idx = divmod(np.flatnonzero(neg[:, 1:] != neg[:, :-1]), cells)
+    if rows.size:
+        x_tp = 0.5 * (xs[idx] + xs[idx + 1])
+        _, v1, v2 = sym.v_derivs(x_tp)
+        v1 = np.abs(np.broadcast_to(v1, x_tp.shape))
+        for i in np.flatnonzero(v1 < SIMPLE_TP_TOL * (1.0 + np.abs(v2))):
             report.ok = False
             report.failures.append(
-                f"multiple wells: {{V <= {e:.6g}}} has {runs} components")
-            break
-        # simple turning points
-        for x_tp in _coarse_turning_points(xs, vs, e):
-            _, v1, v2 = sym.v_derivs(x_tp)
-            if abs(v1) < SIMPLE_TP_TOL * (1.0 + abs(v2)):
-                report.ok = False
-                report.failures.append(
-                    f"degenerate turning point near x = {x_tp:.6g} at E = {e:.6g}")
-            report.margin = min(report.margin, abs(float(v1)))
+                f"degenerate turning point near x = {x_tp[i]:.6g} at"
+                f" E = {energies[rows[i]]:.6g}")
+        # NaN values leave the margin as it is
+        report.margin = float(np.fmin.reduce(v1, initial=report.margin))
+    if bad.size:
+        report.ok = False
+        report.failures.append(
+            f"multiple wells: {{V <= {energies[checked]:.6g}}} has"
+            f" {runs[checked]} components")
     return report
-
-
-def _coarse_turning_points(xs, vs, e):
-    sign = vs - e
-    idx = np.nonzero(np.diff(np.signbit(sign)))[0]
-    return [0.5 * (xs[i] + xs[i + 1]) for i in idx]

@@ -245,10 +245,11 @@ energy_max = 0.51
 def test_spectrum_stands_when_only_the_oracle_fails(tmp_path, capsys,
                                                     monkeypatch):
     # levels near n = 250 on an oracle base grid held at BASE_N points
-    # (k dx = 1.07 at the top level): four doublings do not reach its
-    # agreement tolerance, so oracle exits 3; spectrum's own levels stand,
-    # with the oracle columns blank and the reason on stderr
-    monkeypatch.setattr(oracle, "MAX_BASE_N", oracle.BASE_N)
+    # (k dx = 1.07 at the top level, allowed by a raised KDX_MAX): four
+    # doublings do not reach its agreement tolerance, so oracle exits 3;
+    # spectrum's own levels stand, with the oracle columns blank and the
+    # reason on stderr
+    monkeypatch.setattr(oracle, "KDX_MAX", 1.2)
     cfg = _write(tmp_path, HIGH_LEVELS_CONFIG)
     reason = "oracle did not converge under grid refinement"
     assert main(["oracle", "--config", cfg]) == EXIT_NONCONVERGENCE

@@ -164,9 +164,24 @@ def test_negated_literal_parses_as_a_literal():
     assert parse("x^-2") == BinOp("^", Var("x"), Num(-2.0))
     assert parse("-(3)") == Num(-3.0)
     assert parse("-x") == Neg(Var("x"))
-    assert evaluate(parse("-2^2"), 0.0) == 4.0  # (-2)^2, as before
+    assert evaluate(parse("-2^2"), 0.0) == -4.0  # -(2^2)
     with pytest.raises(ExprDomainError, match=r"'\(x \^ -0\.5\)'"):
         evaluate(parse("x^-0.5"), -1.0)
+
+
+def test_unary_minus_binds_looser_than_power():
+    x2 = BinOp("^", Var("x"), Num(2.0))
+    assert parse("-x^2") == Neg(x2)
+    assert parse("exp(-x^2)") == Call("exp", Neg(x2))
+    assert evaluate(parse("exp(-x^2)"), 2.0) == pytest.approx(math.exp(-4.0))
+    assert parse("2^-x^2") == BinOp("^", Num(2.0), Neg(x2))
+    assert parse("-3*x") == BinOp("*", Num(-3.0), Var("x"))
+    assert parse("2*-x") == BinOp("*", Num(2.0), Neg(Var("x")))
+    assert evaluate(parse("(-2)^2"), 0.0) == 4.0
+    # a negative number raised to a power keeps its parentheses in print
+    for e in (parse("(-2)^2"), parse("a^2", {"a": -2.0})):
+        assert to_string(e) == "((-2.0) ^ 2.0)"
+        assert parse(to_string(e)) == e
 
 
 def test_eval_x_derivs2_where_it_used_to_fail():

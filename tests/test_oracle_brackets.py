@@ -109,9 +109,9 @@ def test_a_confirmed_guess_on_the_doubled_grid_is_kept(wells, window,
 
 
 def test_unconfirmed_bracket_falls_back_to_bisection(wells, monkeypatch):
-    """A guess that holds the next level, not this one, is refused by its
-    node counts; the solve then isolates the level on the node count and
-    finds the same level as without a guess."""
+    """A guess that holds the next level, not this one: the node counts
+    refuse the root found in it; the solve then isolates the level on the
+    node count and finds the same level as without a guess."""
     for _, v, dx, h, i_match, nodes, levels, (e_lo, e_hi) in wells:
         n = levels[1]
         e_next = _solve_on_grid(v, dx, h, i_match, e_lo, e_hi, n + 1, 1e-12)

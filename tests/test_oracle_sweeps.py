@@ -49,7 +49,7 @@ def test_banded_sweeps_match_the_loops(name, window):
             count = _count_nodes(k)
             assert count == _count_nodes_loop(f), (n, e)
             counts.append(count)
-            d, d_loop = _shoot(k, i_match), _shoot_loop(f, i_match)
+            d, d_loop = _shoot(k, i_match, pref)[0], _shoot_loop(f, i_match)
             assert abs(d - d_loop) <= DEFECT_TOL, (n, e)
             if abs(d_loop) > DEFECT_TOL:
                 assert np.sign(d) == np.sign(d_loop), (n, e)
@@ -60,7 +60,7 @@ def test_lists_and_arrays_give_the_same_sweep(window):
     pref, v, i_match = _grid_k("harmonic", 2000, window)
     k = pref * (0.6 - v)   # between the levels 0.5 and 0.7
     assert _count_nodes(k.tolist()) == _count_nodes(k) == 3
-    assert _shoot(k.tolist(), i_match) == _shoot(k, i_match)
+    assert _shoot(k.tolist(), i_match, pref) == _shoot(k, i_match, pref)
 
 
 def _recorded_runs(monkeypatch):
@@ -85,7 +85,7 @@ def test_an_overflowing_sweep_resumes_and_matches_the_loops(monkeypatch):
     f = (1.0 + k).tolist()
     assert not np.all(np.isfinite(_sweep(1.0 + k)))
     runs = _recorded_runs(monkeypatch)
-    y = oracle._dirichlet_sweep(1.0 + k)
+    y, _ = oracle._dirichlet_sweep(1.0 + k)
     assert 8 <= len(runs) <= 15 and all(runs[:-1])
     # y_{i+1} = 14 y_i - y_{i-1} from (0, 1e-10) is 1e-10 sinh(i a) / sinh(a),
     # cosh(a) = 7: each value is that times 1e-200 per resume before it
@@ -98,7 +98,7 @@ def test_an_overflowing_sweep_resumes_and_matches_the_loops(monkeypatch):
     del runs[:]
     assert _count_nodes(k) == _count_nodes_loop(f)
     del runs[:]
-    d, d_loop = _shoot(k, 1000), _shoot_loop(f, 1000)
+    d, d_loop = _shoot(k, 1000, 1.0)[0], _shoot_loop(f, 1000)
     assert abs(d - d_loop) <= 1e-14
     assert len(runs) >= 8
 
@@ -110,7 +110,7 @@ def test_a_sign_change_at_a_resume_point_is_counted_once(monkeypatch):
     runs = _recorded_runs(monkeypatch)
     count = _count_nodes(k)
     assert len(runs) >= 3
-    assert oracle._dirichlet_sweep(1.0 + k).size == k.size - 1
+    assert oracle._dirichlet_sweep(1.0 + k)[0].size == k.size - 1
     assert count == _count_nodes_loop((1.0 + k).tolist()) == k.size - 2
 
 
@@ -244,3 +244,16 @@ def test_a_grid_too_coarse_for_exact_counts_is_refined_up_to_a_cap(
     monkeypatch.setattr(oracle, "MAX_BASE_N", base.v.size - 1)
     with pytest.raises(OracleError, match="would need"):
         _base_grid(sym, h, window, -30.0, 30.0)
+
+
+def test_a_base_grid_over_the_cap_is_refused_before_any_sweep(monkeypatch):
+    """Levels n = 2500 .. 2509 of 1e-4 x^2 at h = 0.001: k dx <= KDX_MAX
+    needs 47918 points on the oracle's interval, more than MAX_BASE_N, so
+    the oracle refuses at once and names them."""
+    runs = _recorded_runs(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(OracleError, match="would need 47918 points"):
+        oracle.oracle_spectrum(from_potential("1e-4*x^2"), 0.001,
+                               EnergyWindow(0.05, 0.0502))
+    assert runs == []
+    assert time.perf_counter() - start < 1.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from semibs import oracle, orbit, symbols
-from semibs.symbols import (EnergyWindow, SymbolError, builtin,
-                            from_potential, validate_well)
+from semibs.symbols import (EnergyWindow, HamiltonianSymbol, SymbolError,
+                            builtin, from_potential, validate_well)
 
 
 def test_builtin_potentials_evaluate():
@@ -74,6 +74,38 @@ def test_validate_well_rejects_double_well(window):
     report = validate_well(sym, window)
     assert not report.ok
     assert any("multiple wells" in msg for msg in report.failures)
+
+
+def test_validate_well_takes_every_turning_point_in_one_call(monkeypatch,
+                                                             window):
+    """One array v_derivs call at the coarse turning points of all the
+    energies sampled; the margin is the least |V'| among them."""
+    calls = []
+    v_derivs = HamiltonianSymbol.v_derivs
+
+    def recorded(self, x):
+        calls.append(np.size(x))
+        return v_derivs(self, x)
+
+    monkeypatch.setattr(HamiltonianSymbol, "v_derivs", recorded)
+    sym = builtin("morse", {"D": 3.0, "a": 0.5})
+    report = validate_well(sym, window)
+    assert report.ok and calls == [2 * symbols.WELL_ENERGY_SAMPLES]
+    xs = np.linspace(*report.scan_domain, symbols.WELL_GRID_POINTS)
+    margin = np.inf
+    for e in np.linspace(window.e_min, window.e_max,
+                         symbols.WELL_ENERGY_SAMPLES):
+        i = np.flatnonzero(np.diff(np.signbit(sym.v(xs) - e)))
+        _, v1, _ = v_derivs(sym, 0.5 * (xs[i] + xs[i + 1]))
+        margin = min(margin, float(np.min(np.abs(v1))))
+    assert report.margin == pytest.approx(margin, rel=1e-14)
+    # past the first energy whose {V <= E} is not one interval, nothing is
+    # checked: (x^2 - 1)^2 has two wells below 1
+    del calls[:]
+    report = validate_well(from_potential("(x^2 - 1)^2"), window)
+    assert report.failures == [
+        "multiple wells: {V <= 0.08} has 2 components"]
+    assert calls == []
 
 
 def test_validate_well_rejects_minimum_above_window():
