@@ -10,18 +10,18 @@ orders" (Ann. Henri Poincare 6, 2005); ``s2_value`` puts it together.
 ``gamma_dd`` keeps its meaning (d/dE)^2 \\oint Gamma dt, Gamma =
 4 xi^2 V'' + 2 V'^2: since d/dt(xi V') = 2 xi^2 V'' - V'^2 along the flow,
 (d/dE) \\oint Gamma dt = 4 \\oint V'' dt, so one E-derivative suffices.
-Every closed-orbit integral at one energy comes from one call of
-``orbit.orbit_quadrature``; ODE-traced orbits and the Gamma integrand serve
-only as the tests' reference (``gamma_integral``).  ``orbit_integrands``
-lists the integrands S1 and S2 read, for this module and for the solver's
-table (``quantize.SEffTable``), which takes E-derivatives of Chebyshev
-series.  ``action_series`` at one energy is the tests' reference: its
-E-derivatives are 5-point central differences across neighboring energies
-with step eta, with one Richardson extrapolation at half step.  The
-pointwise Fourier-side density
-t1_value and the d1 bracket terms are kept for near-focal-arc verification;
-full-orbit quadrature of them is never attempted (they are singular at the
-well bottom).
+Every closed-orbit integral comes from ``orbit.orbit_quadrature``;
+ODE-traced orbits and the Gamma integrand serve only as the tests'
+reference (``gamma_integral``).  ``orbit_integrands`` lists the integrands
+S1 and S2 read, for this module and for the solver's table
+(``quantize.SEffTable``), which takes E-derivatives of Chebyshev series.
+``action_series`` at one energy is the tests' reference: its E-derivatives
+are 5-point central differences across neighboring energies with step eta,
+with one Richardson extrapolation at half step, and E and its six stencil
+energies are integrated in one array call.  The pointwise Fourier-side
+density t1_value and the d1 bracket terms are kept for near-focal-arc
+verification; full-orbit quadrature of them is never attempted (they are
+singular at the well bottom).
 """
 
 from __future__ import annotations
@@ -115,21 +115,19 @@ def action_series(sym, e, eta, quad_tol=1e-12):
     def one(x, xi):
         return np.ones_like(x)
 
+    # E, then the stencil energies for step eta and eta/2 (Richardson)
+    offs = (0.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
     p1, p2, *stencil_fs = orbit_integrands(sym)
-    s0, (period, sub, p2_int, *at_e) = orbit_quadrature(
-        sym, e, [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
-
-    # stencil energies for step eta and eta/2 (Richardson)
-    vals = {off: orbit_quadrature(sym, e + off * eta, stencil_fs,
-                                  rel_tol=quad_tol)[1]
-            for off in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)}
-    vals[0.0] = at_e
+    s0, ints = orbit_quadrature(sym, e + eta * np.array(offs),
+                                [one, p1, p2] + stencil_fs, rel_tol=quad_tol)
+    period, sub, p2_int = (float(v[0]) for v in ints[:3])
     full = (-2.0, -1.0, 0.0, 1.0, 2.0)
     half = (-1.0, -0.5, 0.0, 0.5, 1.0)
     derivs, consistent = [], True
-    for i in range(len(stencil_fs)):
-        d_eta = _d1_5pt([vals[o][i] for o in full], eta)
-        d_half = _d1_5pt([vals[o][i] for o in half], 0.5 * eta)
+    for v in ints[3:]:
+        at = dict(zip(offs, v.tolist()))
+        d_eta = _d1_5pt([at[o] for o in full], eta)
+        d_half = _d1_5pt([at[o] for o in half], 0.5 * eta)
         d = (16.0 * d_half - d_eta) / 15.0
         consistent = consistent and (
             abs(d_eta - d_half) <= 1e-6 * (1.0 + abs(d)))
@@ -138,9 +136,9 @@ def action_series(sym, e, eta, quad_tol=1e-12):
 
     gamma_dd = 4.0 * v_dd_d
     return ActionSeries(
-        e=e, s0=s0, period=period, maslov=MASLOV_TERM, sub_principal=sub,
-        s1=MASLOV_TERM - sub, gamma_dd=gamma_dd, p2_int=p2_int,
-        p1sq_d=p1sq_d, s2=s2_value(gamma_dd, p1sq_d, p2_int),
+        e=e, s0=float(s0[0]), period=period, maslov=MASLOV_TERM,
+        sub_principal=sub, s1=MASLOV_TERM - sub, gamma_dd=gamma_dd,
+        p2_int=p2_int, p1sq_d=p1sq_d, s2=s2_value(gamma_dd, p1sq_d, p2_int),
         derivative_consistent=consistent)
 
 

@@ -20,6 +20,9 @@ Precedence follows the usual notation: ``^`` binds tightest and groups to
 the right, unary minus binds looser than ``^`` and tighter than ``*`` and
 ``/``, so ``-x^2`` is -(x^2) and ``exp(-x^2)`` is exp(-(x^2)); a negated
 number is a number, so ``x^-2`` raises x to the literal -2.
+``parse`` refuses (ExprSyntaxError) text whose groups, calls, negations
+and powers nest more than MAX_DEPTH deep, or whose tree is deeper (a sum of
+over MAX_DEPTH + 1 terms), before the parser or a tree walk recurses so far.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Union
 import numpy as np
 
 MAX_DEGREE = 4
+MAX_DEPTH = 100   # deepest nesting, and deepest tree, that parse accepts
 
 # multi-indices (i, j) with i + j <= MAX_DEGREE, graded order
 JET_INDICES = tuple(
@@ -85,11 +89,14 @@ class _Node:
     lookup, and a derived hash would walk the whole tree each time.
     Equality is the dataclass's field-wise test.  Each node class names
     ``__hash__`` in its body, or the frozen dataclass would replace it
-    with a field-wise one."""
+    with a field-wise one.  The node's height (0 for a leaf) is stored the
+    same way, from its children's, so that no walk measures it."""
 
     def __post_init__(self):
-        key = (type(self),) + tuple(getattr(self, f.name) for f in fields(self))
-        object.__setattr__(self, "_hash", hash(key))
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        object.__setattr__(self, "_hash", hash((type(self),) + values))
+        object.__setattr__(self, "_height", 1 + max(
+            (v._height for v in values if isinstance(v, _Node)), default=-1))
 
     def __hash__(self):
         return self._hash
@@ -223,6 +230,18 @@ def parse(text, params=None):
         raise ExprSyntaxError("empty expression", 0)
     params = dict(params or {})
     toks = _Tokenizer(text)
+    level = 0   # groups, calls, negations and powers open at the cursor
+    too_deep = f"expression nested more than {MAX_DEPTH} levels deep"
+
+    def nested(parse_one, offset):
+        """parse_one() one level deeper, refused past MAX_DEPTH levels."""
+        nonlocal level
+        level += 1
+        if level > MAX_DEPTH:
+            raise ExprSyntaxError(too_deep, offset)
+        node = parse_one()
+        level -= 1
+        return node
 
     def expr():
         node = term()
@@ -242,13 +261,11 @@ def parse(text, params=None):
         # unary minus binds looser than ^: -x^2 = -(x^2); a negated literal
         # is a literal: x^-2 = x^Num(-2)
         if toks.peek()[0] == "-":
-            toks.next()
-            arg = factor()
+            arg = nested(factor, toks.next()[2])
             return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
         node = base()
-        if toks.peek()[0] == "^":
-            toks.next()
-            node = BinOp("^", node, factor())  # right-associative
+        if toks.peek()[0] == "^":   # right-associative
+            node = BinOp("^", node, nested(factor, toks.next()[2]))
         return node
 
     def base():
@@ -256,7 +273,7 @@ def parse(text, params=None):
         if kind == "num":
             return Num(value)
         if kind == "(":
-            node = expr()
+            node = nested(expr, offset)
             kind2, _, off2 = toks.next()
             if kind2 != ")":
                 raise ExprSyntaxError("expected ')'", off2)
@@ -268,7 +285,7 @@ def parse(text, params=None):
                 kind2, _, off2 = toks.next()
                 if kind2 != "(":
                     raise ExprSyntaxError(f"expected '(' after {value}", off2)
-                node = expr()
+                node = nested(expr, off2)
                 kind3, _, off3 = toks.next()
                 if kind3 != ")":
                     raise ExprSyntaxError("expected ')'", off3)
@@ -282,11 +299,14 @@ def parse(text, params=None):
     kind, value, offset = toks.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input '{value}'", offset)
+    if node._height > MAX_DEPTH:   # a long chain of operators
+        raise ExprSyntaxError(too_deep, 0)
     return node
 
 
 def to_string(e):
-    """Pretty-print; parse(to_string(e)) is evaluation-equivalent to e."""
+    """Pretty-print; parse(to_string(e)) is evaluation-equivalent to e for
+    a tree up to MAX_DEPTH // 2 deep (the text nests up to twice as deep)."""
     return str(e)
 
 

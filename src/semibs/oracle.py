@@ -6,7 +6,10 @@ by Cooley's Newton corrector (J. W. Cooley, Math. Comp. 15 (1961) 363):
 each shot gives the defect and its Newton step from the same two sweeps,
 and a step that leaves the bracket is replaced by bisection.  A root
 stands only when node counts on either side of it confirm the level; a
-level with no confirmed root is an OracleError.  On the base grid Newton
+level with no confirmed root is an OracleError.  Levels are solved in
+node-count order, which is energy order, so the solves stop at the first
+refined level above the window: no later level can refine into it.
+On the base grid Newton
 starts inside a Sturm bracket: the energy range is bisected on the node
 count until the bracket holds that level and no other, and the counts
 taken are shared by all the levels of the request.  Grid resolution is
@@ -486,7 +489,9 @@ def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
         e = _refined_level(grids, h, n_nodes, v_floor - 1e-12,
                            window.e_max + 2.0 * err_hi + 1e-12,
                            cfg.shoot_tol)
-        if window.e_min <= e <= window.e_max:
+        if e > window.e_max:
+            break   # levels rise with the node count: none later is inside
+        if window.e_min <= e:
             results.append(e)
             counts.append(n_nodes)
     if return_counts:

@@ -6,12 +6,14 @@ separately so that turning-point and oracle machinery can work on V
 directly.
 
 The one search for the bottom of a well is ``well_minimum``: the scan
-domain of ``scan_domain``, a 2001-point grid and a bounded Brent step,
-memoised on (V, domain) so that every layer shares it.  The scan domain
-widens [-1, 1] by doubling until V exceeds E on each side, stopping at the
-top of a barrier it would jump; the ends it tries do not depend on E, so
+domain of ``scan_domain``, then ``_grid_minimum``, a 2001-point grid and a
+bounded Brent step, memoised on (V, domain) so that every layer shares it.
+The scan domain widens [-1, 1] by doubling until V exceeds E on each side,
+stopping at the top of a barrier it would jump, found as the minimum of -V
+by the same ``_grid_minimum``; the ends it tries do not depend on E, so
 they are found once per (V, side) and shared by every energy, and
 ``scan_domain_array`` gives the domains of a whole energy array at once.
+``validate_well``, the check of what these searches assume, has its own grid.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .exprjet import (Expr, compiled, eval_x_derivs2, evaluate, parse,
-                      variables)
+from .exprjet import (BinOp, Expr, Neg, Num, Var, compiled, eval_x_derivs2,
+                      evaluate, parse, variables)
 
 
 class SymbolError(Exception):
@@ -70,14 +72,14 @@ _BUILTIN_POTENTIALS = {
 
 
 def from_potential(v_text, p1_text="0", p2_text="0", params=None, name="custom"):
-    """Build a Schrodinger symbol p0 = xi^2 + V from expression strings."""
+    """Build a Schrodinger symbol p0 = xi^2 + V from expression strings;
+    p0 is built on the parsed V, the tree that parsing "xi^2 + (V)" gives."""
     params = params or {}
     v = parse(v_text, params)
     if "xi" in variables(v):
         raise SymbolError("the potential must not read xi")
-    p0 = parse(f"xi^2 + ({v_text})", params)
     return HamiltonianSymbol(
-        p0=p0,
+        p0=BinOp("+", BinOp("^", Var("xi"), Num(2.0)), v),
         p1=parse(p1_text, params),
         p2=parse(p2_text, params),
         potential=v,
@@ -138,7 +140,7 @@ class _OutwardScan:
     the list is extended only as far as the energies asked for need it."""
 
     def __init__(self, potential, sign):
-        self.v = compiled(potential)
+        self.potential, self.v = potential, compiled(potential)
         self.sign = sign
         self.ends = []      # the ends tried, in order
         self.tops = []      # running maximum of V over them, NaN as -inf
@@ -154,12 +156,10 @@ class _OutwardScan:
         if k >= 2:
             (x_in, v_in), (_, v_mid) = self.powers[-2:]
             if v_in < v_mid and v < v_mid:
-                lo, hi = sorted((x_in, x))
-                res = minimize_scalar(lambda t: -self.v(t), bounds=(lo, hi),
-                                      method="bounded",
-                                      options={"xatol": 1e-8 * (hi - lo)})
-                if -res.fun > v_mid:
-                    self._add(float(res.x), float(-res.fun))
+                x_top, v_top = _grid_minimum(Neg(self.potential),
+                                             *sorted((x_in, x)))
+                if -v_top > v_mid:
+                    self._add(x_top, -v_top)
         self.powers.append((x, v))
         self._add(x, v)
         return True

@@ -19,7 +19,9 @@ memos keyed on the symbol, the grid and what else the piece depends on:
   cutoff-independence and Gram checks.
 
 The exact solutions of the commutator identity check come from the
-oracle's Numerov sweep, one banded solve per solution.
+oracle's Numerov sweep, one banded solve per solution.  Turning points
+and min V come from the memoised ``orbit.turning_points`` and
+``symbols.well_minimum``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .exprjet import evaluate, is_zero_expr
 from .oracle import _sweep
 from .orbit import turning_points
+from .symbols import well_minimum
 
 
 class WronlabError(Exception):
@@ -253,15 +256,14 @@ def default_grid(sym, e, h, points_per_oscillation=63):
     """Uniform grid between the turning zones resolving the oscillations.
 
     The spacing honours both the requested points-per-oscillation and the
-    hard sampling bound dx <= h / (10 max|xi|).
+    hard sampling bound dx <= h / (10 max|xi|), max|xi| = sqrt(E - min V).
     """
     xl, xr = turning_points(sym, e)
     dl, dr = airy_exclusion(sym, e, h)
     a, b = xl + dl, xr - dr
     if not a < b:
         raise GridError("turning zones overlap: h too large for this window")
-    v_min = float(np.min(sym.v(np.linspace(a, b, 1001))))
-    xi_max = math.sqrt(max(e - v_min, 0.0))
+    xi_max = math.sqrt(max(e - well_minimum(sym.potential, e)[1], 0.0))
     dx_osc = 2.0 * math.pi * h / (xi_max * points_per_oscillation)
     dx = min(dx_osc, h / (10.0 * xi_max))
     return _uniform_grid(a, b, int(math.ceil((b - a) / dx)) + 1)

@@ -137,6 +137,56 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["spectrum", "--config",
                  _write(tmp_path, bad_domain)]) == EXIT_VALIDATION
     capsys.readouterr()
+    # nested too deep for the evaluators to recurse: refused, no traceback
+    for deep in ("(" * 245 + "x^2" + ")" * 245, "+".join(["x^2"] * 490),
+                 "x^2" + "^1" * 300, "-" * 500 + "x^2"):
+        text = BASE_CONFIG.replace('"x^2"', f'"{deep}"')
+        assert main(["spectrum", "--config",
+                     _write(tmp_path, text)]) == EXIT_VALIDATION
+        assert "levels deep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    # the minimum x = 1.5 lies past the end of the scan domain [-1, 1]
+    ('"(x - 1.5)^2"\nenergy_min = 0.1\nenergy_max = 0.2',
+     "potential minimum not interior to scan domain"),
+    # V' and V'' vanish at x = 0.50025, a midpoint of validate_well's grid,
+    # where V = energy_min
+    ('"(x + 0.49975)^4 - 8/3*(x + 0.49975)^3 + 2*(x + 0.49975)^2"\n'
+     'energy_min = 0.3333333333333335\nenergy_max = 0.5',
+     "degenerate turning point near x = 0.50025"),
+])
+def test_wells_that_break_the_hypotheses_exit_2(tmp_path, capsys, text,
+                                               message):
+    cfg = _write(tmp_path, f"[problem]\npotential = {text}\nhbar = 0.1\n")
+    for command in ("spectrum", "gram-scan", "wronskian-check", "oracle"):
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION, command
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("solver", "quad_tol", "0", "quad_tol must be positive"),
+    ("solver", "root_tol", "-1e-10", "root_tol must be positive"),
+    ("oracle", "shoot_tol", "0.0", "shoot_tol must be positive"),
+    ("oracle", "halfwidth_factor", "1.49", "halfwidth_factor must be >= 1.5"),
+    ("wronlab", "grid_points_per_oscillation", "3",
+     "grid_points_per_oscillation must be >= 4"),
+])
+def test_out_of_range_config_values_exit_2(tmp_path, capsys, section, key,
+                                           value, message):
+    cp = configparser.ConfigParser()
+    cp.read_string(BASE_CONFIG)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value
+    buf = io.StringIO()
+    cp.write(buf)
+    text = buf.getvalue()
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text).validate()
+    assert main(["spectrum", "--config",
+                 _write(tmp_path, text)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def test_grid_tie_potentials_exit_0(tmp_path, capsys):

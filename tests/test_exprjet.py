@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from semibs.exprjet import (BinOp, Call, ExprDomainError, ExprError,
-                            ExprSyntaxError, JET_INDICES, Neg, Num, Var,
-                            _real_pow_derivs, _unary_derivs, compiled,
-                            evaluate, eval_x_derivs2, is_zero_expr, jet_eval,
-                            parse, to_string, variables)
+                            ExprSyntaxError, JET_INDICES, MAX_DEPTH, Neg, Num,
+                            Var, _real_pow_derivs, _unary_derivs, compiled,
+                            compiled_derivs2, evaluate, eval_x_derivs2,
+                            is_zero_expr, jet_eval, parse, to_string,
+                            variables)
 
 
 def _random_expr_text(rng):
@@ -513,3 +514,35 @@ def test_compiled_derivs2_agrees_with_jets_at_the_edges():
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-300), \
                         where
     assert compared > 200
+
+
+# expressions n levels deep: nested groups, calls, negations and powers
+# (the parser recurses on them), and left-deep chains (the tree does)
+DEEP = {
+    "groups": lambda n: "(" * n + "x" + ")" * n,
+    "calls": lambda n: "sin(" * n + "x" + ")" * n,
+    "negations": lambda n: "-" * n + "x",
+    "powers": lambda n: "x" + "^1" * n,
+    "sum": lambda n: "+".join(["x"] * (n + 1)),
+    "difference": lambda n: "-".join(["x"] * (n + 1)),
+    "product": lambda n: "*".join(["x"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(DEEP))
+def test_an_expression_at_the_depth_limit_is_evaluated_everywhere(form):
+    e = parse(DEEP[form](MAX_DEPTH))
+    v = compiled(e)(0.5)
+    assert np.isfinite(v)
+    assert compiled_derivs2(e)(0.5)[0] == pytest.approx(v, rel=1e-14)
+    assert jet_eval(e, (0.5, 0.0)).value == pytest.approx(v, rel=1e-14)
+    assert "x" in str(e)
+
+
+@pytest.mark.parametrize("n", [MAX_DEPTH + 1, 10 * MAX_DEPTH])
+@pytest.mark.parametrize("form", sorted(DEEP))
+def test_an_expression_past_the_depth_limit_is_a_syntax_error(form, n):
+    # refused before the parser or an evaluator recurses that deep: a
+    # RecursionError would end the CLI in a traceback, not exit 2
+    with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DEPTH} levels"):
+        parse(DEEP[form](n))

@@ -10,7 +10,8 @@ from numerov_reference import eigenfunction
 from semibs import oracle, orbit
 from semibs.oracle import OracleConfig, _solve_on_grid, oracle_spectrum
 from semibs.quantize import convergence_fit
-from semibs.symbols import EnergyWindow, HamiltonianSymbol, builtin
+from semibs.symbols import (EnergyWindow, HamiltonianSymbol, builtin,
+                            from_potential)
 
 
 def test_harmonic_spectrum(harmonic, window):
@@ -112,6 +113,29 @@ def test_no_extra_level_solve_away_from_the_window_edges(monkeypatch,
     energies = oracle_spectrum(harmonic, 0.05, EnergyWindow(0.1, 0.5))
     assert energies == pytest.approx([0.15, 0.25, 0.35, 0.45], abs=1e-9)
     assert solved == [1, 2, 3, 4]
+
+
+def test_the_level_solves_stop_at_the_first_level_above_the_window(
+        monkeypatch):
+    # near dissociation the base grid's error bound reaches far above
+    # e_max, where the levels are dense: only the first refined level
+    # above the window is solved, since levels rise with the node count
+    solved = []
+    refined_level = oracle._refined_level
+
+    def counted(grids, h, n_nodes, *rest):
+        solved.append(n_nodes)
+        return refined_level(grids, h, n_nodes, *rest)
+
+    monkeypatch.setattr(oracle, "_refined_level", counted)
+    window = EnergyWindow(0.9, 0.999)
+    energies, counts = oracle_spectrum(from_potential("(1 - exp(-x))^2"),
+                                       0.05, window, return_counts=True)
+    # E_n = 1 - (1 - 0.05 (n + 1/2))^2, n = 14 .. 18
+    assert energies == pytest.approx(
+        [1.0 - (1.0 - 0.05 * (n + 0.5)) ** 2 for n in counts], abs=1e-9)
+    assert counts == [14, 15, 16, 17, 18]
+    assert solved == counts + [19]
 
 
 def test_v_is_evaluated_once_per_grid_per_request(monkeypatch, harmonic,

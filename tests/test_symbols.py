@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semibs import oracle, orbit, symbols
+from semibs.exprjet import parse
 from semibs.symbols import (EnergyWindow, HamiltonianSymbol, SymbolError,
                             builtin, from_potential, validate_well)
 
@@ -52,6 +53,16 @@ def test_schrodinger_form():
     v, v1, v2 = sym.v_derivs(1.5)
     assert (v, v1, v2) == (pytest.approx(2.25), pytest.approx(3.0),
                            pytest.approx(2.0))
+
+
+@pytest.mark.parametrize("v_text, params", [
+    ("x^2", {}), ("D*(1 - exp(-a*x))^2", {"D": 3.0, "a": 0.5}),
+    ("-x^2 + x^4 - 2", {}), ("x^2 + lam*x^4", {"lam": -0.1})])
+def test_p0_is_the_tree_of_xi_squared_plus_v(v_text, params):
+    # p0 is built from the parsed V, and equals parsing "xi^2 + (V)"
+    sym = from_potential(v_text, params=params)
+    assert sym.p0 == parse(f"xi^2 + ({v_text})", params)
+    assert hash(sym.p0) == hash(parse(f"xi^2 + ({v_text})", params))
 
 
 def test_energy_window_requires_order():
@@ -113,6 +124,23 @@ def test_validate_well_rejects_minimum_above_window():
     report = validate_well(sym, EnergyWindow(0.05, 1.0))
     assert not report.ok
     assert any("not below e_min" in msg for msg in report.failures)
+
+
+def test_validate_well_rejects_a_degenerate_turning_point():
+    # V' = 4u(u - 1)^2, u = x + 0.49975: a well whose V' and V'' vanish at
+    # u = 1, which lies half-way between two points of the 4001-point grid
+    # on the scan domain [-1, 1]; at E = V there the coarse turning point
+    # is that midpoint, where V' is 0 to rounding
+    sym = from_potential("(x + 0.49975)^4 - 8/3*(x + 0.49975)^3"
+                         " + 2*(x + 0.49975)^2")
+    e_flat = float(sym.v(0.50025))
+    report = validate_well(sym, EnergyWindow(e_flat, 0.5))
+    assert report.scan_domain == (-1.0, 1.0)
+    assert report.failures == [
+        "degenerate turning point near x = 0.50025 at E = 0.333333"]
+    assert report.margin < 1e-12
+    # off the flat point the same well passes
+    assert validate_well(sym, EnergyWindow(0.1, 0.3))
 
 
 def test_validate_well_rejects_unconfined_window():
