@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wronlab
-from .exprjet import (ExprDomainError, ExprSyntaxError, is_zero_expr,
-                      variables)
+from .exprjet import (BinOp, ExprDomainError, ExprSyntaxError, Num,
+                      is_zero_expr, variables)
 from .oracle import OracleConfig, OracleError, oracle_spectrum
 from .orbit import ConvergenceError, OrbitError, turning_points
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
                        convergence_fit, gram_scan)
-from .symbols import EnergyWindow, SymbolError, from_potential, validate_well
+from .symbols import (EnergyWindow, SymbolError, from_potential, schrodinger,
+                      validate_well)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -196,6 +197,15 @@ def _oracle_cfg(cfg):
 _NO_ORACLE = "the oracle needs p1, p2 in x only and one well V+h*p1+h^2*p2"
 
 
+def _effective_well(sym, h):
+    """The symbol whose potential is V + h p1 + h^2 p2, for p1 and p2 in x
+    only: the tree that parsing "(V) + h*(p1) + h^2*(p2)" gives, built on
+    the parsed terms."""
+    return schrodinger(BinOp("+", BinOp("+", sym.potential,
+                                        BinOp("*", Num(h), sym.p1)),
+                             BinOp("*", Num(h * h), sym.p2)))
+
+
 def _oracle_levels(cfg, sym, h):
     """Node count -> oracle eigenvalue in the window for the operator the
     levels approximate, -h^2 d^2/dx^2 + V + h p1 + h^2 p2; None when p1 or
@@ -203,8 +213,7 @@ def _oracle_levels(cfg, sym, h):
     if not (is_zero_expr(sym.p1) and is_zero_expr(sym.p2)):
         if "xi" in variables(sym.p1) | variables(sym.p2):
             return None
-        sym = from_potential(f"({cfg.potential}) + {h!r}*({cfg.p1})"
-                             f" + {h * h!r}*({cfg.p2})")
+        sym = _effective_well(sym, h)
         if not validate_well(sym, cfg.window):
             return None
     energies, counts = oracle_spectrum(sym, h, cfg.window, _oracle_cfg(cfg),

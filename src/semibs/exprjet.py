@@ -10,6 +10,12 @@ Values come from a tree compiled once into nested closures (``compiled``,
 ``compiled_derivs2``, memoised per tree; a node stores its hash, so a
 lookup costs one dictionary probe).  The closures make a recursive walk's
 numpy operations in its order, so values are bit-identical to such a walk.
+A literal integer exponent n >= 3 is computed by ``_int_power``, squarings
+and products (binary exponentiation), for numbers and arrays alike, in
+both ``compiled`` and ``compiled_derivs2``; the closure is chosen when the
+tree is compiled.  Its values are within a few ulp of np.power's (the tests
+pin at most 5 up to n = 8, and 24 at n = 31), exact at +-0, +-inf and NaN;
+other exponents take ``**``.
 
 Differentiation is forward-mode on bivariate Taylor jets truncated at
 total degree 4 (enough for the fourth x-derivatives that the second-order
@@ -338,6 +344,21 @@ def _pow(l, r):
         return np.float64(l) ** r
 
 
+def _int_power(x, n):
+    """x ** n for an integer n >= 3 by binary exponentiation: the bits of n
+    from the lowest, each a squaring, each set bit a product.  A number or
+    an array alike; within a few ulp of np.power (see the tests), exact on
+    +-0, +-inf and NaN, and an overflow keeps its sign."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
+
+
 def _compile(e):
     """The callable f(x, xi=0.0) that evaluates the tree ``e``."""
     if isinstance(e, Num):
@@ -377,6 +398,9 @@ def _compile(e):
     # a literal exponent is classed integer or not once, by the same test
     c = e.right.value if isinstance(e.right, Num) else None
     fractional = None if c is None else bool(c != np.floor(c))
+    if fractional is False and 3 <= c < math.inf:
+        n = int(c)
+        return lambda x, xi=0.0: _int_power(left(x, xi), n)
     # a non-negative integer literal flags neither invalid nor divide
     flagless = fractional is False and c >= 0
 
@@ -643,12 +667,13 @@ def _compile_derivs2(e):
     if op == "^" and isinstance(e.right, Num) \
             and float(e.right.value).is_integer():
         n = int(e.right.value)
+        f0, f1, f2 = (_power_by(k) for k in (n, n - 1, n - 2))
 
         def int_pow(l, x):
             if n < 0 and _any(l == 0):  # a pole, where evaluate raises too
                 raise ExprDomainError("invalid power", where)
-            return (_pow(l, n), n * _pow(l, n - 1),
-                    n * (n - 1) * _pow(l, n - 2) if n != 1 else l * 0.0)
+            return (f0(l), n * f1(l),
+                    n * (n - 1) * f2(l) if n != 1 else l * 0.0)
         return _chain(left, int_pow)
     right = _compile_derivs2(e.right)
     if op == "^":
@@ -677,6 +702,13 @@ def _compile_derivs2(e):
 
 
 compiled_derivs2 = lru_cache(maxsize=COMPILE_CACHE_SIZE)(_compile_derivs2)
+
+
+def _power_by(k):
+    """The callable l -> l ** k for the integer k, as ``power`` takes it."""
+    if k >= 3:
+        return lambda l: _int_power(l, k)
+    return lambda l: _pow(l, k)
 
 
 def _chain(inner, outer):

@@ -27,16 +27,23 @@ MAX_SPLIT_ROUNDS rounds, or past MAX_TABLE_PIECES pieces, the table raises
 ConvergenceError, so no value comes from a piece that failed its test.  No
 ODE orbit is traced and no scalar quadrature is made here.
 
+A read evaluates the series of its rows through one (rows x TABLE_NODES)
+Chebyshev basis, T_k(t) = cos(k arccos t), not by Clenshaw's recurrence,
+and a Newton step reads a series and its E-derivative on the same basis.
+
 Levels are roots of S_eff = 2 pi h (k + 1/2) on the table, for the k of
 ``_level_ks``.  The roots of
 dS_eff/dE (companion-matrix eigenvalues) cut every piece into monotone
 segments; a segment whose end values straddle a target holds one root,
 refined by safeguarded Newton steps on its series.  The one scan serves a
-monotone and a non-monotone S_eff alike.  ``bs_solve`` keeps, per level,
-the first root inside the window; where a lower order's level lies past
-the table, the table is extended there.  ``gram_scan`` reads its energy
-grid and its zeros, every root in the window of the same targets, from the
-same table.  The Gram determinant is the closed form
+monotone and a non-monotone S_eff alike.  ``bs_solve`` brackets and
+refines the roots of every order up to its own in one pass
+(``SEffTable.level_roots``), and keeps, per order and level, the first
+root inside the window; where a level of some order lies past the table,
+the table is extended there and the pass repeated.  ``gram_scan`` reads
+its energy grid and its zeros, every root in the window of the same
+targets (``SEffTable.roots``, the pass at one order), from the same
+table.  The Gram determinant is the closed form
 -cos^2(action_diff/(2h) + pi/2) whose zero set coincides with the level set
 of the condition above.
 """
@@ -68,7 +75,8 @@ _EPS = np.finfo(float).eps
 # values there (last axis) to the coefficients of the interpolant
 _THETA = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
 _NODES = np.cos(_THETA)
-_FIT = 2.0 / TABLE_NODES * np.cos(np.outer(_THETA, np.arange(TABLE_NODES)))
+_DEGREES = np.arange(TABLE_NODES)
+_FIT = 2.0 / TABLE_NODES * np.cos(np.outer(_THETA, _DEGREES))
 _FIT[:, 0] *= 0.5
 
 
@@ -106,12 +114,12 @@ class GramEval:
     det: float
 
 
-def _clenshaw(c, t):
-    """sum_k c[i, k] T_k(t[i]) for every row i."""
-    b1 = b2 = 0.0
-    for k in range(c.shape[1] - 1, 0, -1):
-        b1, b2 = c[:, k] + 2.0 * t * b1 - b2, b1
-    return c[:, 0] + t * b1 - b2
+def _basis(t):
+    """The (len(t), TABLE_NODES) Chebyshev basis T_k(t) = cos(k arccos t),
+    t held in [-1, 1]: a piece is read inside its ends, and an end that
+    rounding puts a few ulp past them reads the end."""
+    t = np.minimum(np.maximum(t, -1.0), 1.0)
+    return np.cos(np.arccos(t)[:, None] * _DEGREES)
 
 
 class SEffTable:
@@ -227,14 +235,21 @@ class SEffTable:
 
     # -- reading ------------------------------------------------------------
 
+    def _piece(self, e):
+        """The index of the piece holding each energy of the array e."""
+        return np.clip(np.searchsorted(self._lo, e, side="right") - 1,
+                       0, len(self._lo) - 1)
+
+    def _read(self, orders, piece, e):
+        """Per row, S_eff at orders[row] at e[row], read on piece[row]."""
+        lo, hi = self._lo[piece], self._hi[piece]
+        basis = _basis((2.0 * e - lo - hi) / (hi - lo))
+        return np.sum(self._series[orders, piece] * basis, axis=1)
+
     def value(self, e, order):
-        """S_eff at ``order`` at the energies e, an array."""
+        """S_eff at ``order`` at the energies e, an array in [lo, hi]."""
         e = np.asarray(e, dtype=float)
-        i = np.clip(np.searchsorted(self._lo, e, side="right") - 1,
-                    0, len(self._lo) - 1)
-        lo, hi = self._lo[i], self._hi[i]
-        return _clenshaw(self._series[order][i],
-                         (2.0 * e - lo - hi) / (hi - lo))
+        return self._read(order, self._piece(e), e)
 
     def monotone_cuts(self, order, u, v):
         """Sorted energies cutting [u, v] into segments, each inside one
@@ -253,7 +268,15 @@ class SEffTable:
 
     def roots(self, order, targets, u, v, root_tol):
         """(k, E): every E in [u, v] where S_eff at ``order`` equals
-        targets[k], sorted by k and then by E.
+        targets[k], sorted by k and then by E; ``level_roots`` at the one
+        order."""
+        _, k, e = self.level_roots((order,), targets, u, v, root_tol)
+        return k, e
+
+    def level_roots(self, orders, targets, u, v, root_tol):
+        """(m, k, E): for every order m of ``orders``, every E in [u, v]
+        where S_eff at m equals targets[k], sorted by m, k and E; one
+        bracket-and-refine pass for all the orders.
 
         Each segment of ``monotone_cuts`` is read on its own piece, so the
         values at its two ends come from one series: a target they straddle
@@ -261,39 +284,42 @@ class SEffTable:
         values at their shared edge has the edge as its root.  Every
         crossing counts once, at the end it reaches."""
         targets = np.asarray(targets, dtype=float)
-        cuts = self.monotone_cuts(order, u, v)
-        a, b = cuts[:-1], cuts[1:]
-        i = np.clip(np.searchsorted(self._lo, 0.5 * (a + b), side="right")
-                    - 1, 0, len(self._lo) - 1)
+        cuts = [self.monotone_cuts(m, u, v) for m in orders]
+        a = np.concatenate([c[:-1] for c in cuts])
+        b = np.concatenate([c[1:] for c in cuts])
+        m = np.repeat(orders, [len(c) - 1 for c in cuts])
+        i = self._piece(0.5 * (a + b))
         ends = np.column_stack([a, b]).ravel()
-        piece = np.repeat(i, 2)
-        lo, hi = self._lo[piece], self._hi[piece]
-        vals = _clenshaw(self._series[order][piece],
-                         (2.0 * ends - lo - hi) / (hi - lo))
-        g = vals[None, :] - targets[:, None]
+        g = self._read(np.repeat(m, 2), np.repeat(i, 2), ends)[None, :] \
+            - targets[:, None]
         g0, g1 = g[:, :-1], g[:, 1:]
         cross = ((g0 < 0) & (g1 >= 0)) | ((g0 > 0) & (g1 <= 0))
-        cross[:, 0] |= g0[:, 0] == 0
+        # link 2j runs along segment j, link 2j + 1 jumps at a piece edge,
+        # or from one order's last segment to the next order's first
+        first = 2 * np.flatnonzero(np.diff(m, prepend=-1))
+        cross[:, first] |= g0[:, first] == 0
+        cross[:, first[1:] - 1] = False
         k, link = np.nonzero(cross)
-        # link 2j runs along segment j, link 2j + 1 jumps at a piece edge
         e = ends[link + 1]
         along = link % 2 == 0
         seg = link[along] // 2
-        e[along] = self._refine(order, i[seg], targets[k[along]], a[seg],
+        e[along] = self._refine(m[seg], i[seg], targets[k[along]], a[seg],
                                 b[seg], g0[k[along], link[along]],
                                 g1[k[along], link[along]], root_tol)
-        by_k = np.lexsort((e, k))
-        return k[by_k], e[by_k]
+        m = m[link // 2]
+        by = np.lexsort((e, k, m))
+        return m[by], k[by], e[by]
 
-    def _refine(self, order, piece, targets, ea, eb, f_a, f_b, root_tol):
-        """Per row, the E in [ea, eb] where the series of ``piece`` equals
-        the target; f_a, f_b (opposite signs, or f_b = 0) are the series
-        minus the target at ea, eb.  Newton steps from the secant point,
-        replaced by bisection where a step leaves the bracket.  A root is
+    def _refine(self, orders, piece, targets, ea, eb, f_a, f_b, root_tol):
+        """Per row, the E in [ea, eb] where the series at orders[row] of
+        ``piece`` equals the target; f_a, f_b (opposite signs, or f_b = 0)
+        are the series minus the target at ea, eb.  Newton steps from the
+        secant point, replaced by bisection where a step leaves the bracket;
+        a step reads the series and its derivative on one basis.  A root is
         done once its step is within root_tol (1 + |E|), or a few ulp."""
-        c = self._series[order][piece]
+        c = self._series[orders, piece]
         c[:, 0] -= targets
-        d = self._dseries[order][piece]
+        d = self._dseries[orders, piece]
         lo, half = self._lo[piece], 0.5 * (self._hi[piece] - self._lo[piece])
         ta, tb = (ea - lo) / half - 1.0, (eb - lo) / half - 1.0
         t = np.where(f_b == 0, tb, ta - f_a * (tb - ta) / (f_b - f_a))
@@ -302,7 +328,9 @@ class SEffTable:
             if not todo.size:
                 break
             tt, c_t, half_t = t[todo], c[todo], half[todo]
-            f, fp = _clenshaw(c_t, tt), _clenshaw(d[todo], tt)
+            basis = _basis(tt)
+            f = np.sum(c_t * basis, axis=1)
+            fp = np.sum(d[todo] * basis[:, :-1], axis=1)
             right = f * f_a[todo] > 0   # the root lies right of tt
             ta[todo] = np.where(right, tt, ta[todo])
             tb[todo] = np.where(right, tb[todo], tt)
@@ -335,28 +363,33 @@ def attach_oracle(table, oracle_levels):
 
 
 def _levels(table, order, targets, window, root_tol):
-    """Per target, the first root of S_eff at ``order`` inside the window,
-    else the root nearest to it.  Where a target has no root on the table,
-    the table is extended on the side the target lies beyond, at most
-    MAX_EXTENSIONS times in all."""
+    """The (order + 1, len(targets)) levels: per order m <= ``order`` and
+    per target, the first root of S_eff at m inside the window, else the
+    root nearest to it, from one ``level_roots`` pass for all the orders.
+    Where a target has no root on the table at some order (the lowest such
+    order, then target, first), the table is extended on the side the
+    target lies beyond, at most MAX_EXTENSIONS times in all."""
+    n = len(targets)
     while True:
-        ks, es = table.roots(order, targets, table.lo, table.hi, root_tol)
+        ms, ks, es = table.level_roots(range(order + 1), targets, table.lo,
+                                       table.hi, root_tol)
         outside = np.maximum(window.e_min - es, es - window.e_max)
-        found = np.full(len(targets), np.nan)
-        for k in range(len(targets)):
-            e, d = es[ks == k], outside[ks == k]
-            if e.size:
-                found[k] = e[d <= 0.0][0] if np.any(d <= 0.0) \
-                    else e[np.argmin(d)]
-        missing = np.isnan(found)
-        if not missing.any():
-            return found
-        target = targets[missing][0]
+        # per (order, target): the roots inside by E, then the rest by
+        # their distance from the window
+        group = ms * n + ks
+        by = np.lexsort((es, np.maximum(outside, 0.0), group))
+        found = np.full((order + 1) * n, np.nan)
+        first, at = np.unique(group[by], return_index=True)
+        found[first] = es[by][at]
+        missing = np.flatnonzero(np.isnan(found))
+        if not missing.size:
+            return found.reshape(order + 1, n)
+        m, k = divmod(int(missing[0]), n)
         if table.extensions == MAX_EXTENSIONS:
             raise QuantizeError(
-                f"could not bracket the order-{order} level S = {target} "
+                f"could not bracket the order-{m} level S = {targets[k]} "
                 f"on [{table.lo}, {table.hi}]")
-        table.extend(down=bool(target < table.value([table.lo], order)[0]))
+        table.extend(down=bool(targets[k] < table.value([table.lo], m)[0]))
 
 
 def _level_ks(table, order, window):
@@ -394,8 +427,7 @@ def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10):
         raise QuantizeError("no quantization levels inside the window")
     targets = 2.0 * math.pi * h * (ks + 0.5)
 
-    levels = [_levels(table, m, targets, window, root_tol)
-              for m in range(order + 1)]
+    levels = list(_levels(table, order, targets, window, root_tol))
     while len(levels) < 3:
         levels.append(levels[-1])
     return SpectrumTable(h=h, rows=[

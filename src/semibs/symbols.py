@@ -72,19 +72,21 @@ _BUILTIN_POTENTIALS = {
 
 
 def from_potential(v_text, p1_text="0", p2_text="0", params=None, name="custom"):
-    """Build a Schrodinger symbol p0 = xi^2 + V from expression strings;
-    p0 is built on the parsed V, the tree that parsing "xi^2 + (V)" gives."""
+    """Build a Schrodinger symbol p0 = xi^2 + V from expression strings."""
     params = params or {}
     v = parse(v_text, params)
     if "xi" in variables(v):
         raise SymbolError("the potential must not read xi")
+    return schrodinger(v, parse(p1_text, params), parse(p2_text, params),
+                       name)
+
+
+def schrodinger(v, p1=Num(0.0), p2=Num(0.0), name="custom"):
+    """The symbol of the parsed x-only potential V; p0 is built on V, the
+    tree that parsing "xi^2 + (V)" gives."""
     return HamiltonianSymbol(
         p0=BinOp("+", BinOp("^", Var("xi"), Num(2.0)), v),
-        p1=parse(p1_text, params),
-        p2=parse(p2_text, params),
-        potential=v,
-        name=name,
-    )
+        p1=p1, p2=p2, potential=v, name=name)
 
 
 def builtin(name, params=None):
@@ -128,6 +130,7 @@ MINIMUM_CACHE_SIZE = 64     # distinct (V, domain) minima and (V, side) scans
 SCAN_MAX_DOUBLINGS = 39     # the farthest scan end tried is +-2^39 (5.5e11)
 WELL_GRID_POINTS = 4001     # validate_well's grid on the scan domain
 WELL_ENERGY_SAMPLES = 9     # energies in the window validate_well checks
+CROSSING_HALVINGS = 64      # of a grid cell, to refine a turning point
 
 
 class _OutwardScan:
@@ -242,13 +245,28 @@ def well_minimum_array(potential, es):
     return x0, v0
 
 
+def _crossing(v, a, b, e, neg_a):
+    """Per row, the x in [a, b] where V - e changes sign, by bisection;
+    neg_a is the sign bit of V(a) - e.  CROSSING_HALVINGS halvings take a
+    cell of the grid below an ulp of any x it reaches."""
+    for _ in range(CROSSING_HALVINGS):
+        mid = 0.5 * (a + b)
+        if not np.any((a < mid) & (mid < b)):
+            break
+        right = np.signbit(v(mid) - e) == neg_a   # the crossing is past mid
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
+    return 0.5 * (a + b)
+
+
 def validate_well(sym, window):
     """Check the single-well hypotheses for a symbol.
 
     Confirms: V has a unique minimum x0 with V(x0) < e_min; for sampled
     energies in the window {V <= E} is one interval with simple turning
-    points.  Returns a WellReport; failures are collected, not raised.
-    """
+    points, |V'| tested at the midpoint of each grid cell where V - E
+    changes sign and, where that midpoint could hide a zero of V', also at
+    the crossing refined inside the cell.  Returns a WellReport; failures
+    are collected, not raised."""
     report = WellReport(ok=True)
 
     dom = scan_domain(sym.potential, window.e_max)
@@ -289,7 +307,24 @@ def validate_well(sym, window):
         x_tp = 0.5 * (xs[idx] + xs[idx + 1])
         _, v1, v2 = sym.v_derivs(x_tp)
         v1 = np.abs(np.broadcast_to(v1, x_tp.shape))
-        for i in np.flatnonzero(v1 < SIMPLE_TP_TOL * (1.0 + np.abs(v2))):
+        v2 = np.abs(np.broadcast_to(v2, x_tp.shape))
+        # a zero of V' within half a cell of the midpoint leaves |V'| there
+        # at most about |V''| dx / 2: in such a cell V' is taken at the
+        # crossing too, and the smaller |V'| counts; not next to the
+        # minimum, where turning points too close to resolve are the orbit
+        # layer's to refuse
+        dx = xs[1] - xs[0]
+        near = np.flatnonzero((v1 <= SIMPLE_TP_TOL * (1.0 + v2) + dx * v2)
+                              & (np.abs(x_tp - report.x0) > 1.5 * dx))
+        if near.size:
+            _, w1, w2 = sym.v_derivs(_crossing(
+                sym.v, xs[idx[near]], xs[idx[near] + 1],
+                energies[rows[near]], neg[rows[near], idx[near]]))
+            w1 = np.abs(np.broadcast_to(w1, near.shape))
+            w2 = np.abs(np.broadcast_to(w2, near.shape))
+            at = w1 < v1[near]   # a NaN keeps the midpoint's values
+            v1[near[at]], v2[near[at]] = w1[at], w2[at]
+        for i in np.flatnonzero(v1 < SIMPLE_TP_TOL * (1.0 + v2)):
             report.ok = False
             report.failures.append(
                 f"degenerate turning point near x = {x_tp[i]:.6g} at"

@@ -155,6 +155,11 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     ('"(x + 0.49975)^4 - 8/3*(x + 0.49975)^3 + 2*(x + 0.49975)^2"\n'
      'energy_min = 0.3333333333333335\nenergy_max = 0.5',
      "degenerate turning point near x = 0.50025"),
+    # the same well shifted: its flat point x = 0.5004 is 1.5e-4 from the
+    # midpoint 0.50025, where |V'| = 9e-8; V' at the crossing is 1.3e-10
+    ('"(x + 0.4996)^4 - 8/3*(x + 0.4996)^3 + 2*(x + 0.4996)^2"\n'
+     'energy_min = 0.3333333333333335\nenergy_max = 0.5',
+     "degenerate turning point near x = 0.50025"),
 ])
 def test_wells_that_break_the_hypotheses_exit_2(tmp_path, capsys, text,
                                                message):
@@ -362,6 +367,22 @@ def test_oracle_columns_use_the_effective_well(tmp_path, capsys):
         assert float(r[4]) == pytest.approx(exact, abs=1e-9)
         assert float(r[5]) == pytest.approx(h * h / 4, abs=1e-9)
         assert float(r[6]) < 1e-9
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.07, 1e-05, 0.3])
+@pytest.mark.parametrize("p1, p2", [("-0.201 + 0.111*x", "0"),
+                                    ("x", "0.3*x^2 - 1"),
+                                    ("0", "-(x - 0.5)^3/7")])
+def test_the_oracle_well_is_the_parse_of_its_text(h, p1, p2):
+    """V + h p1 + h^2 p2 built on the parsed terms is, with its hash, the
+    tree the oracle used to parse from "(V) + h*(p1) + h^2*(p2)"."""
+    cfg = parse_config(f'[problem]\npotential = "x^4 + 0.2*x^2"\n'
+                       f'p1 = "{p1}"\np2 = "{p2}"\nhbar = {h!r}\n')
+    well = cli._effective_well(cfg.symbol(), h)
+    text = f"({cfg.potential}) + {h!r}*({cfg.p1}) + {h * h!r}*({cfg.p2})"
+    assert well.potential == exprjet.parse(text)
+    assert hash(well.potential) == hash(exprjet.parse(text))
+    assert well == symbols.from_potential(text)
 
 
 def test_oracle_columns_blank_without_an_oracle(tmp_path, capsys):

@@ -8,10 +8,10 @@ import pytest
 
 from semibs.exprjet import (BinOp, Call, ExprDomainError, ExprError,
                             ExprSyntaxError, JET_INDICES, MAX_DEPTH, Neg, Num,
-                            Var, _real_pow_derivs, _unary_derivs, compiled,
-                            compiled_derivs2, evaluate, eval_x_derivs2,
-                            is_zero_expr, jet_eval, parse, to_string,
-                            variables)
+                            Var, _int_power, _real_pow_derivs, _unary_derivs,
+                            compiled, compiled_derivs2, evaluate,
+                            eval_x_derivs2, is_zero_expr, jet_eval, parse,
+                            to_string, variables)
 
 
 def _random_expr_text(rng):
@@ -234,7 +234,8 @@ def test_equal_trees_hash_equal_and_share_a_compiled_callable(monkeypatch):
 
 
 def _walk(e, x, xi=0.0):
-    """The recursive tree walk ``evaluate`` used before it was compiled."""
+    """The recursive tree walk ``evaluate`` used before it was compiled;
+    a literal integer exponent from 3 on is ``_int_power``'s, as there."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -260,6 +261,9 @@ def _walk(e, x, xi=0.0):
         if np.any(np.asarray(r) == 0):
             raise ExprDomainError("division by zero", str(e))
         return l / r
+    if isinstance(e.right, Num) and e.right.value >= 3 \
+            and float(e.right.value).is_integer():
+        return _int_power(l, int(e.right.value))
     r_arr = np.asarray(r)
     if np.any(np.asarray(l) < 0) and np.any(r_arr != np.floor(r_arr)):
         raise ExprDomainError("fractional power of negative base", str(e))
@@ -268,6 +272,11 @@ def _walk(e, x, xi=0.0):
             return l ** r
         except FloatingPointError:
             raise ExprDomainError("invalid power", str(e))
+
+
+def _power(l, k):
+    """l ** k for an integer k, by ``_int_power`` from k = 3 on."""
+    return _int_power(l, k) if k >= 3 else l ** k
 
 
 def _walk_derivs2(e, x):
@@ -295,9 +304,9 @@ def _walk_derivs2(e, x):
             n = int(r.value)
             if n < 0 and np.any(np.asarray(l) == 0):
                 raise ExprDomainError("invalid power", str(e))
-            F = l ** n
-            F1 = n * l ** (n - 1)
-            F2 = n * (n - 1) * l ** (n - 2) if n != 1 else l * 0.0
+            F = _power(l, n)
+            F1 = n * _power(l, n - 1)
+            F2 = n * (n - 1) * _power(l, n - 2) if n != 1 else l * 0.0
             return F, F1 * l1, F2 * l1 * l1 + F1 * l2
         rr, r1, _ = _walk_derivs2(r, x)
         if np.any(np.asarray(r1) != 0):
@@ -457,6 +466,93 @@ def test_power_domain_errors_with_and_without_errstate():
                 assert np.array_equal(evaluate(parse(f"x^{k}"), float(x)),
                                       np.float64(x) ** float(k),
                                       equal_nan=True)
+
+
+# the worst distance in ulp of _int_power(x, n) from np.power(x, n) over
+# the sample of the test below, as measured; each multiplication rounds
+# once, and a squaring doubles the relative error it is given
+POWER_ULPS = {3: 1, 4: 2, 5: 3, 6: 3, 7: 4, 8: 5, 31: 24}
+
+
+def _power_sample():
+    """200000 numbers of either sign, |x| in [2^-30, 2^31)."""
+    rng = np.random.default_rng(20261020)
+    m = rng.uniform(1.0, 2.0, 200000)
+    return np.ldexp(m, rng.integers(-30, 31, m.size)) \
+        * rng.choice([-1.0, 1.0], m.size)
+
+
+def test_int_power_is_within_its_ulp_bound_of_np_power():
+    x = _power_sample()
+    for n, bound in POWER_ULPS.items():
+        with np.errstate(over="ignore", under="ignore"):
+            got, ref = _int_power(x, n), np.power(x, float(n))
+        normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+        assert normal.sum() > 100000, n
+        ulps = np.abs(got - ref)[normal] / np.spacing(np.abs(ref[normal]))
+        assert ulps.max() <= bound, n
+
+
+def test_int_power_is_exact_at_zeros_infinities_nan_and_overflow():
+    xs = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e200,
+                   -1e200, 2.0 ** 600, -(2.0 ** 600), 1e-200, -1e-200])
+    for n in (3, 4, 5, 6, 7, 8, 31, 32):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, ref = _int_power(xs, n), np.power(xs, float(n))
+        assert np.array_equal(got, ref, equal_nan=True), n
+        signed = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got[signed]),
+                              np.signbit(ref[signed])), n
+    # an overflow keeps its sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _int_power(np.array([-1e200]), 3)[0] == -np.inf
+    assert _int_power(-1e200, 3) == -np.inf
+    assert _int_power(-1e200, 4) == np.inf
+    # an infinite literal exponent is no integer: it takes **
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.array_equal(evaluate(parse("x^1e999"), xs), xs ** np.inf,
+                              equal_nan=True)
+
+
+def test_int_power_of_a_number_is_the_array_element():
+    xs = np.concatenate([_power_sample()[:2000],
+                         [0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n in POWER_ULPS:
+            arr = _int_power(xs, n)
+            for x, a in zip(xs.tolist(), arr.tolist()):
+                for kind in (float, np.float64):
+                    v = _int_power(kind(x), n)
+                    assert type(v) is kind
+                    assert np.float64(v).tobytes() == np.float64(a).tobytes()
+
+
+@pytest.mark.parametrize("text", ["x^3", "x^4", "x^2 + 0.12*x^4",
+                                  "(x - 0.3)^5*sin(x)^3", "x^31", "x^8"])
+def test_integer_powers_compile_to_the_power_helper(text, rng):
+    """The closures and the reference walks, which take ``_int_power`` for
+    a literal exponent from 3 on, agree bit for bit at arbitrary points,
+    for numbers and arrays; the powers are within their ulp bound of
+    np.power."""
+    e = parse(text)
+    xs = rng.uniform(-2.0, 2.0, 64)
+    assert _outcome(evaluate, e, xs) == _outcome(_walk, e, xs)
+    assert _outcome(eval_x_derivs2, e, xs) == _outcome(_walk_derivs2, e, xs)
+    for x in xs[:8].tolist():
+        for kind in (float, np.float64):
+            assert _outcome(evaluate, e, kind(x)) == \
+                _outcome(_walk, e, kind(x))
+            assert _outcome(eval_x_derivs2, e, kind(x)) == \
+                _outcome(_walk_derivs2, e, kind(x))
+    n = int(text[3:]) if text[:3] == "x^" else None
+    if n is not None:
+        ref = np.power(xs, float(n))
+        assert np.all(np.abs(evaluate(e, xs) - ref)
+                      <= POWER_ULPS[n] * np.spacing(np.abs(ref)))
 
 
 def test_compiled_derivs2_matches_the_tree_walk(rng):

@@ -257,6 +257,81 @@ def test_series_arrays_match_scalar_calls(name, params, p1, window):
         assert s2[k] == pytest.approx(ser.s2, rel=1e-8, abs=2e-9)
 
 
+def _clenshaw(c, t):
+    """sum_k c[i, k] T_k(t[i]) for every row i, by Clenshaw's recurrence:
+    how the table read its series before its one basis per read, kept as
+    the reference for it."""
+    b1 = b2 = 0.0
+    for k in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = c[:, k] + 2.0 * t * b1 - b2, b1
+    return c[:, 0] + t * b1 - b2
+
+
+@pytest.mark.parametrize("name, params", WELLS)
+def test_table_reads_match_the_clenshaw_recurrence(name, params):
+    """A read through the Chebyshev basis is Clenshaw's sum to within
+    4 eps sum_k |c_k| (2 eps measured), on every piece and order, at both
+    ends t = -1 and 1 of a piece and one ulp inside them too."""
+    sym = builtin(name, {**params, "p1": "0.2*x^2", "p2": "0.5*x^2"})
+    table = SEffTable.for_window(sym, 0.05, 2, EnergyWindow(0.05, 1.0),
+                                 1e-10)
+    t = np.concatenate([[-1.0, 1.0, np.nextafter(-1.0, 0.0),
+                         np.nextafter(1.0, 0.0)], np.linspace(-1, 1, 101)])
+    for order in range(3):
+        for p, (lo, hi) in enumerate(zip(table._lo, table._hi)):
+            e = np.where(t == -1.0, lo, np.where(
+                t == 1.0, hi, lo + 0.5 * (hi - lo) * (t + 1.0)))
+            c = table._series[order][[p] * t.size]
+            got = table._read(order, np.full(t.size, p), e)
+            ref = _clenshaw(c, (2.0 * e - lo - hi) / (hi - lo))
+            bound = 4.0 * np.finfo(float).eps * np.abs(c[0]).sum()
+            assert np.all(np.abs(got - ref) <= bound), (order, p)
+    es = np.linspace(table.lo, table.hi, 57)
+    i = table._piece(es)
+    lo, hi = table._lo[i], table._hi[i]
+    for order in range(3):
+        c = table._series[order][i]
+        ref = _clenshaw(c, (2.0 * es - lo - hi) / (hi - lo))
+        bound = 4.0 * np.finfo(float).eps * np.abs(c).sum(axis=1)
+        assert np.all(np.abs(table.value(es, order) - ref) <= bound)
+
+
+@pytest.mark.parametrize("case", ["split", "quartic bottom", "non-monotone"])
+def test_one_root_pass_gives_every_orders_roots(case):
+    """The roots ``level_roots`` finds for orders 0, 1 and 2 in one pass
+    are, bit for bit, those of a pass per order: on a table of several
+    pieces; on x^4 from E = 1e-6 at h = 0.05, where order-2 S_eff starts
+    near -40; and on the harmonic well whose order-2 S_eff rises, falls
+    and rises again (``test_a_non_monotone_s_eff_yields_its_first_root``)."""
+    sym, h, window, quad_tol = {
+        "split": (builtin("quartic", {"p1": "0.2*x^2", "p2": "0.5*x^2"}),
+                  0.05, EnergyWindow(0.05, 1.0), 1e-10),
+        "quartic bottom": (builtin("quartic"), 0.05, EnergyWindow(1e-6, 1.0),
+                           1e-12),
+        "non-monotone": (builtin("harmonic", {"p2": "400*x^4 - 192*x^6"}),
+                         0.1, EnergyWindow(0.1, 2.0), 1e-12)}[case]
+    table = SEffTable.for_window(sym, h, 2, window, quad_tol)
+    s = table.value(table.monotone_cuts(2, table.lo, table.hi), 2)
+    assert {"split": len(table._lo) > 1, "quartic bottom": s.min() < -30.0,
+            "non-monotone": np.any(np.diff(s) < 0.0)}[case]
+    targets = 2.0 * math.pi * h * (quantize._level_ks(table, 2, window) + 0.5)
+    levels = quantize._levels(table, 2, targets, window, 1e-10)
+    ms, ks, es = table.level_roots(range(3), targets, table.lo, table.hi,
+                                   1e-10)
+    assert ms.tolist() == sorted(ms.tolist())
+    for m in range(3):
+        k1, e1 = table.roots(m, targets, table.lo, table.hi, 1e-10)
+        assert k1.size and np.array_equal(ks[ms == m], k1)
+        assert np.array_equal(es[ms == m], e1)
+        # each level is its order's first root in the window, else the
+        # root nearest to it
+        for k, level in enumerate(levels[m]):
+            e = e1[k1 == k]
+            d = np.maximum(window.e_min - e, e - window.e_max)
+            assert level == (e[d <= 0.0][0] if np.any(d <= 0.0)
+                             else e[np.argmin(d)])
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_gram_scan_evaluates_its_grid_in_array_calls(monkeypatch, window,
                                                      order):

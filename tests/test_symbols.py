@@ -119,6 +119,40 @@ def test_validate_well_takes_every_turning_point_in_one_call(monkeypatch,
     assert calls == []
 
 
+def test_validate_well_takes_v_prime_at_the_crossing_near_a_flat_point(
+        monkeypatch):
+    """V' = 4u(u - 1)^2, u = x + 0.4996: the flat point x = 0.5004 is
+    1.5e-4 from the grid midpoint 0.50025, where |V'| = 9e-8 passes; only
+    that cell is refined, and V' at its crossing, 1.3e-10, fails.  A well
+    whose turning points sit next to its minimum is not refined: there they
+    are the orbit layer's to refuse as too close to resolve."""
+    calls = []
+    v_derivs = HamiltonianSymbol.v_derivs
+
+    def recorded(self, x):
+        calls.append(np.size(x))
+        return v_derivs(self, x)
+
+    monkeypatch.setattr(HamiltonianSymbol, "v_derivs", recorded)
+    sym = from_potential("(x + 0.4996)^4 - 8/3*(x + 0.4996)^3"
+                         " + 2*(x + 0.4996)^2")
+    report = validate_well(sym, EnergyWindow(0.3333333333333335, 0.5))
+    assert report.failures == [
+        "degenerate turning point near x = 0.50025 at E = 0.333333"]
+    assert 1e-11 < report.margin < 1e-9
+    assert calls == [2 * symbols.WELL_ENERGY_SAMPLES, 1]
+    # from E = 0.3333 the crossings lie 0.03 from the flat point or more:
+    # no cell is refined, and the well passes
+    del calls[:]
+    assert validate_well(sym, EnergyWindow(0.3333, 0.5))
+    assert calls == [2 * symbols.WELL_ENERGY_SAMPLES]
+    # 1e200 x^2: V' is 0 in the cell next to each turning point
+    del calls[:]
+    narrow = from_potential("1e200*x^2")
+    assert validate_well(narrow, EnergyWindow(1.0, 2.0))
+    assert calls == [2 * symbols.WELL_ENERGY_SAMPLES]
+
+
 def test_validate_well_rejects_minimum_above_window():
     sym = from_potential("x^2 + 0.5")
     report = validate_well(sym, EnergyWindow(0.05, 1.0))
