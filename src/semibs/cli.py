@@ -12,14 +12,14 @@ import argparse
 import configparser
 import functools
 import io
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import wronlab
-from .exprjet import (BinOp, ExprDomainError, ExprSyntaxError, Num,
-                      is_zero_expr, variables)
+from .exprjet import BinOp, ExprError, Num, is_zero_expr, variables
 from .oracle import OracleConfig, OracleError, oracle_spectrum
 from .orbit import ConvergenceError, OrbitError, turning_points
 from .quantize import (QuantizeError, attach_oracle, bs_solve,
@@ -105,6 +105,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not self.hbar or any(h <= 0 for h in self.hbar):
             raise ConfigError("hbar values must be positive")
+        if any(h * h < sys.float_info.min for h in self.hbar):
+            # every layer divides by hbar^2
+            raise ConfigError(
+                "hbar values must be at least "
+                f"{math.sqrt(sys.float_info.min):.4g}, where hbar^2 is a "
+                "normal float")
         if self.halfwidth_factor < 1.5:
             raise ConfigError("halfwidth_factor must be >= 1.5")
         if self.grid_points_per_oscillation < 4:
@@ -396,8 +402,7 @@ def main(argv=None):
         else:
             sys.stdout.write(buf.getvalue())
         return code
-    except (ConfigError, SymbolError, ExprSyntaxError,
-            ExprDomainError) as exc:
+    except (ConfigError, SymbolError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, OrbitError, OracleError, QuantizeError,

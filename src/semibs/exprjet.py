@@ -15,7 +15,9 @@ and products (binary exponentiation), for numbers and arrays alike, in
 both ``compiled`` and ``compiled_derivs2``; the closure is chosen when the
 tree is compiled.  Its values are within a few ulp of np.power's (the tests
 pin at most 5 up to n = 8, and 24 at n = 31), exact at +-0, +-inf and NaN;
-other exponents take ``**``.
+other exponents take ``**``.  In ``compiled_derivs2`` an exponent that
+reads x is taken as l^r = exp(r log l), as ``jet_eval`` takes a
+non-constant exponent.
 
 Differentiation is forward-mode on bivariate Taylor jets truncated at
 total degree 4 (enough for the fourth x-derivatives that the second-order
@@ -663,7 +665,12 @@ def _compile_derivs2(e):
     if isinstance(e, Call):
         return _chain(_compile_derivs2(e.arg), lambda u, x, func=e.func:
                       _unary_derivs(func, u, where, 3))
-    left, op = _compile_derivs2(e.left), e.op
+    op = e.op
+    if op == "^" and "x" in variables(e.right):
+        # l^r = exp(r log l), as jet_eval takes a non-constant exponent
+        return _compile_derivs2(
+            Call("exp", BinOp("*", e.right, Call("log", e.left))))
+    left = _compile_derivs2(e.left)
     if op == "^" and isinstance(e.right, Num) \
             and float(e.right.value).is_integer():
         n = int(e.right.value)
@@ -678,11 +685,7 @@ def _compile_derivs2(e):
     right = _compile_derivs2(e.right)
     if op == "^":
         def real_pow(l, x):
-            r, r1, _ = right(x)
-            if _any(r1 != 0):
-                raise ExprError("non-constant exponents unsupported in "
-                                "fast path")
-            return _real_pow_derivs(l, r, where, 3)
+            return _real_pow_derivs(l, right(x)[0], where, 3)
         return _chain(left, real_pow)
 
     def binop(x):

@@ -8,7 +8,9 @@ and a step that leaves the bracket is replaced by bisection.  A root
 stands only when node counts on either side of it confirm the level; a
 level with no confirmed root is an OracleError.  Levels are solved in
 node-count order, which is energy order, so the solves stop at the first
-refined level above the window: no later level can refine into it.
+refined level above the window: no later level can refine into it.  A
+window in which the base grid counts more than MAX_LEVELS levels is
+refused before any level is solved.
 On the base grid Newton
 starts inside a Sturm bracket: the energy range is bisected on the node
 count until the bracket holds that level and no other, and the counts
@@ -28,7 +30,9 @@ is exact only where f = 1 + dx^2 (E - V) / (12 h^2) stays positive, so
 walls deep in the forbidden region are moved in, or the base grid refined,
 until it does.
 Each Numerov sweep is a banded triangular solve in BLAS; where one passes
-1e200, the sweep resumes from its last two values scaled by 1e-200.
+1e200, the sweep resumes from its last two values scaled by 1e-200, so
+the match values of a shot may be near 1e200, and each shot is scaled to
+unit length before they are multiplied.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class ConfinementError(OracleError):
 
 BASE_N = 2000              # least points of the base grid
 KDX_MAX = 0.5              # largest k dx on the base grid, k at the top level
-MAX_LEVELS = 200           # levels solved per window at most
+MAX_LEVELS = 200           # levels per window at most; more are refused
 GRID_AGREE_TOL = 1e-9      # relative agreement of two successive grids
 MAX_GRID_DOUBLINGS = 4
 F_MIN = 0.5                # least f = 1 + dx^2 (E - V) / (12 h^2) counted on
@@ -98,12 +102,17 @@ def _sweep(f, y0=0.0, y1=1e-10):
 
 
 def _wronskian(yl, yl_next, yr, yr_next):
-    """Wronskian of the two shots, each scaled to unit length."""
-    norm_l = math.hypot(yl, yl_next)
-    norm_r = math.hypot(yr, yr_next)
+    """(D, c, norm_l, norm_r): the Wronskian D of the two shots, each
+    scaled to unit length before any product, so that match values up to
+    1e200 cannot overflow it; the sign c of their inner product; and the
+    two lengths.  D is 1e300 where a shot is zero there."""
+    norm_l, norm_r = math.hypot(yl, yl_next), math.hypot(yr, yr_next)
     if norm_l == 0.0 or norm_r == 0.0:
-        return 1e300
-    return (yl * yr_next - yl_next * yr) / (norm_l * norm_r)
+        return 1e300, 1.0, norm_l, norm_r
+    yl, yl_next = yl / norm_l, yl_next / norm_l
+    yr, yr_next = yr / norm_r, yr_next / norm_r
+    c = 1.0 if yl * yr + yl_next * yr_next >= 0.0 else -1.0
+    return yl * yr_next - yl_next * yr, c, norm_l, norm_r
 
 
 def _dirichlet_sweep(f):
@@ -170,12 +179,10 @@ def _shoot(k, i_match, pref):
     right, ir = _dirichlet_sweep(f[i_match:][::-1])   # y_{n-2} .. y_{i_match}
     yl, yl_next = float(left[-2]), float(left[-1])
     yr, yr_next = float(right[-1]), float(right[-2])
-    d = _wronskian(yl, yl_next, yr, yr_next)
-    norm_l, norm_r = math.hypot(yl, yl_next), math.hypot(yr, yr_next)
+    d, c, norm_l, norm_r = _wronskian(yl, yl_next, yr, yr_next)
     if norm_l == 0.0 or norm_r == 0.0:
         return d, math.nan
     ul, ur = left[il:-1] / norm_l, right[ir:-1] / norm_r
-    c = 1.0 if yl * yr + yl_next * yr_next >= 0.0 else -1.0
     slope = 12.0 * pref * c * (float(ul @ ul) + float(ur @ ur)) \
         / (f[i_match] * f[i_match + 1])
     if not (math.isfinite(slope) and slope != 0.0):
@@ -419,12 +426,12 @@ def _base_points(xl, xr, k_max):
     """Points of a grid on (xl, xr) with k_max dx <= KDX_MAX, at least
     BASE_N; an OracleError, before any sweep, when that is more than
     MAX_BASE_N."""
-    n = math.ceil(1.0 + (xr - xl) * k_max / KDX_MAX)
-    if n > MAX_BASE_N:
+    n = np.ceil(1.0 + (xr - xl) * k_max / KDX_MAX)   # inf or NaN too
+    if not n <= MAX_BASE_N:
         raise OracleError(
-            f"the Numerov grid would need {n} points, more than {MAX_BASE_N},"
-            f" to resolve k dx <= {KDX_MAX} on ({xl}, {xr})")
-    return max(BASE_N, n)
+            f"the Numerov grid would need {n:.0f} points, more than "
+            f"{MAX_BASE_N}, to resolve k dx <= {KDX_MAX} on ({xl}, {xr})")
+    return max(BASE_N, int(n))
 
 
 def _base_grid(sym, h, window, xl, xr):
@@ -481,7 +488,10 @@ def oracle_spectrum(sym, h, window, cfg=None, return_counts=False):
     for e in e_count:
         base.counts[e] = _count_nodes(pref * (e - base.v))
     n_min, n_max = (base.counts[e] for e in e_count)
-    n_max = min(n_max, n_min + MAX_LEVELS)
+    if n_max - n_min > MAX_LEVELS:
+        raise OracleError(
+            f"the window holds {n_max - n_min} levels on the base grid, "
+            f"more than the {MAX_LEVELS} the oracle solves")
 
     results = []
     counts = []

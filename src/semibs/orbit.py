@@ -12,8 +12,10 @@ singularities, and Gauss-Legendre in theta converges spectrally.
 vectorised turning-point solve, ``_turning_points_array``, then one 2-D
 (energies x nodes) quadrature with the node count refined per energy.
 
-``turning_points`` solves one energy, outward from ``symbols.well_minimum``
-by Brent's method, memoised on (V, E).  The wronskian lab and
+``turning_points`` solves one energy by Brent's method on [x0, end], x0
+from ``symbols.well_minimum`` and end the end of ``symbols.scan_domain``,
+memoised on (V, E); both solves take their brackets from the scan domain,
+the one outward search.  The wronskian lab and
 ``FocalFrame`` (x(xi) is the turning point at E - xi^2) ask for one energy
 at a time, where this scalar solve pays: 35-70 us against 260-360 us as a
 one-element array (2-vCPU Xeon).  The two solves agree to a few ulp: S0
@@ -54,8 +56,9 @@ TP_NEWTON_ITERATIONS = 100   # safeguarded Newton steps of an array solve
 
 
 def turning_points(sym, e):
-    """(x_left, x_right) with V = e, by bracketed root refinement outward
-    from the well minimum; memoised on (V, e)."""
+    """(x_left, x_right) with V = e, each by root refinement on the bracket
+    [x0, end] from the well minimum to the scan domain's end; memoised on
+    (V, e)."""
     return _turning_points(sym.potential, float(e))
 
 
@@ -91,21 +94,12 @@ def _turning_points(potential, e):
 
 
 def _bracket_root(potential, e, x0, direction):
-    """The root of V = e outward from x0: Brent's method on [x0, x0 + step],
-    the step growing by 1.5 until V > e at its end, or until it passes the
-    end of the scan domain, where V > e too; then a Newton polish."""
+    """The root of V = e outward from x0: Brent's method on [x0, end], end
+    the scan domain's end on that side, where V(x0) < e < V(end) holds by
+    construction; then a Newton polish."""
     v_of, derivs = compiled(potential), compiled_derivs2(potential)
     end = scan_domain(potential, e)[(direction + 1) // 2]
-    step = max(0.1, 0.1 * abs(x0))
-    while True:
-        b = x0 + direction * step
-        if v_of(b) > e:
-            break
-        if direction * (b - end) >= 0:
-            b = end  # the step jumped the barrier the domain stops in
-            break
-        step *= 1.5
-    lo, hi = (b, x0) if direction < 0 else (x0, b)
+    lo, hi = (end, x0) if direction < 0 else (x0, end)
     x = brentq(lambda t: v_of(t) - e, lo, hi, xtol=1e-15, rtol=8.9e-16)
     # Newton polish using V' for |V - E| <= 1e-12 absolute
     for _ in range(3):
@@ -119,11 +113,11 @@ def _bracket_root(potential, e, x0, direction):
 def _turning_points_array(potential, es):
     """(x_left, x_right) arrays at every energy of the array es: the roots
     ``turning_points`` finds, from one vectorised solve.  Each root is
-    bracketed on the scalar solver's own outward steps, then refined by
-    Newton steps from the outer end that fall back to bisection whenever a
-    step leaves the bracket or fails to halve; each element stops once its
-    step is within the scalar solve's Brent tolerance.  An element still
-    open after TP_NEWTON_ITERATIONS steps is handed to the scalar solver."""
+    bracketed by [x0, end] as in the scalar solve, then refined by Newton
+    steps from the outer end that fall back to bisection whenever a step
+    leaves the bracket or fails to halve; each element stops once its step
+    is within the scalar solve's Brent tolerance.  An element still open
+    after TP_NEWTON_ITERATIONS steps is handed to the scalar solver."""
     x0, v0 = well_minimum_array(potential, es)
     bad = ~(es > v0)    # v0 is NaN where V does not rise above E
     if bad.any():
@@ -131,24 +125,12 @@ def _turning_points_array(potential, es):
         _check_bottom(float(es[i]),
                       None if np.isnan(x0[i]) else (x0[i], v0[i]))
     lo, hi = scan_domain_array(potential, es)
-    v_of, derivs = compiled(potential), compiled_derivs2(potential)
-    # left roots, then right roots
+    derivs = compiled_derivs2(potential)
+    # left roots, then right roots, each on [x0, end]: V(x0) < e < V(end)
     e2 = np.concatenate([es, es])
     x_start = np.concatenate([x0, x0])
     sign = np.repeat([-1.0, 1.0], len(es))
-    end = np.concatenate([lo, hi])
-
-    # the scalar solve's bracket [x0, outside], V(x0) <= e < V(outside)
-    inside, outside = x_start.copy(), np.empty_like(x_start)
-    step = np.maximum(0.1, 0.1 * np.abs(x_start))
-    todo = np.arange(len(e2))
-    while todo.size:
-        b = x_start[todo] + sign[todo] * step[todo]
-        hit = v_of(b) > e2[todo]
-        past = sign[todo] * (b - end[todo]) >= 0
-        outside[todo] = np.where(hit, b, end[todo])
-        todo = todo[~(hit | past)]
-        step[todo] *= 1.5
+    inside, outside = x_start.copy(), np.concatenate([lo, hi])
 
     x = outside.copy()   # Newton from outside: monotone where V is convex
     last = np.abs(outside - inside)

@@ -32,7 +32,7 @@ Chebyshev basis, T_k(t) = cos(k arccos t), not by Clenshaw's recurrence,
 and a Newton step reads a series and its E-derivative on the same basis.
 
 Levels are roots of S_eff = 2 pi h (k + 1/2) on the table, for the k of
-``_level_ks``.  The roots of
+``_level_ks``, at most MAX_LEVEL_ROWS of them.  The roots of
 dS_eff/dE (companion-matrix eigenvalues) cut every piece into monotone
 segments; a segment whose end values straddle a target holds one root,
 refined by safeguarded Newton steps on its series.  The one scan serves a
@@ -69,6 +69,7 @@ MAX_SPLIT_ROUNDS = 24    # halvings of a piece before ConvergenceError
 MAX_TABLE_PIECES = 128   # pieces per table: a split round can double them
 MAX_EXTENSIONS = 4       # doubling pads past the window for a lower order
 ROOT_ITERATIONS = 100    # safeguarded Newton steps of a root refinement
+MAX_LEVEL_ROWS = 2 ** 18  # levels a window may hold: one row each
 _EPS = np.finfo(float).eps
 
 # Chebyshev points of the first kind on [-1, 1], and the matrix taking the
@@ -396,11 +397,17 @@ def _level_ks(table, order, window):
     """The k >= 0 whose target 2 pi h (k + 1/2) S_eff at ``order`` takes
     on the window (its extremes over ``monotone_cuts``), within 1e-12 of a
     spacing.  h^2 S2 may drive S_eff below 0 near the well bottom, where no
-    order-0 level lies (S0 >= 0), so k < 0 is never a level."""
+    order-0 level lies (S0 >= 0), so k < 0 is never a level.  More than
+    MAX_LEVEL_ROWS of them is a QuantizeError, decided on the float count
+    before anything is allocated."""
     s = table.value(table.monotone_cuts(order, window.e_min, window.e_max),
                     order) / (2.0 * math.pi * table.h)
-    return np.arange(max(math.ceil(s.min() - 0.5 - 1e-12), 0),
-                     math.floor(s.max() - 0.5 + 1e-12) + 1)
+    lo = max(np.ceil(s.min() - 0.5 - 1e-12), 0.0)
+    hi = np.floor(s.max() - 0.5 + 1e-12) + 1.0
+    if not hi - lo <= MAX_LEVEL_ROWS:   # NaN too
+        raise QuantizeError(f"the window holds {hi - lo:.6g} levels, more "
+                            f"than the {MAX_LEVEL_ROWS} a request may list")
+    return np.arange(int(lo), int(hi))
 
 
 def bs_solve(sym, h, window, order=2, quad_tol=1e-12, root_tol=1e-10):

@@ -13,6 +13,8 @@ stopping at the top of a barrier it would jump, found as the minimum of -V
 by the same ``_grid_minimum``; the ends it tries do not depend on E, so
 they are found once per (V, side) and shared by every energy, and
 ``scan_domain_array`` gives the domains of a whole energy array at once.
+It is the one outward search: V(x0) < E < V(end) at each end, so
+``orbit`` brackets every turning point by [x0, end] and walks no further.
 ``validate_well``, the check of what these searches assume, has its own grid.
 """
 

@@ -199,7 +199,7 @@ class CutoffSpec:
         else:
             growth = _PROFILE_SUP[4] / _PROFILE_SUP[3]
             c = _PROFILE_SUP[4] * growth ** (k - 4)
-        return c / (self.r2 - self.r1) ** k
+        return c * (1.0 / (self.r2 - self.r1)) ** k   # inf or 0, no raise
 
 
 def _profile_sups():
@@ -243,13 +243,14 @@ def airy_exclusion(sym, e, h):
 MAX_GRID_POINTS = 2 ** 20  # largest grid a request may build (8 MB per array)
 
 
-def _uniform_grid(a, b, n):
-    """np.linspace(a, b, n), refused with GridError before allocating when
-    n exceeds ``MAX_GRID_POINTS``."""
-    if n > MAX_GRID_POINTS:
-        raise GridError(f"grid of {n:.2e} points exceeds the limit of "
-                        f"{MAX_GRID_POINTS} points")
-    return np.linspace(a, b, n)
+def _uniform_grid(a, b, cells):
+    """np.linspace(a, b, ceil(cells) + 1), refused with GridError, before
+    the ceil and the allocation, when that exceeds ``MAX_GRID_POINTS``
+    (cells inf or NaN too)."""
+    if not cells <= MAX_GRID_POINTS - 1:
+        raise GridError(f"grid of {cells + 1:.2e} points exceeds the limit "
+                        f"of {MAX_GRID_POINTS} points")
+    return np.linspace(a, b, math.ceil(cells) + 1)
 
 
 def default_grid(sym, e, h, points_per_oscillation=63):
@@ -266,7 +267,7 @@ def default_grid(sym, e, h, points_per_oscillation=63):
     xi_max = math.sqrt(max(e - well_minimum(sym.potential, e)[1], 0.0))
     dx_osc = 2.0 * math.pi * h / (xi_max * points_per_oscillation)
     dx = min(dx_osc, h / (10.0 * xi_max))
-    return _uniform_grid(a, b, int(math.ceil((b - a) / dx)) + 1)
+    return _uniform_grid(a, b, (b - a) / dx)
 
 
 def _check_grid(sym, e, h, xs, v):
@@ -652,8 +653,9 @@ def _resolve_transitions(xs, cutoffs):
     width = min(c.r2 - c.r1 for c in cutoffs)
     dx_needed = width / TRANSITION_POINTS
     if xs[1] - xs[0] > dx_needed:
-        n = int(math.ceil((xs[-1] - xs[0]) / dx_needed)) + 1
-        return _uniform_grid(xs[0], xs[-1], n)
+        # a spacing below the least float needs more points than any cap
+        cells = float(xs[-1] - xs[0]) / dx_needed if dx_needed else math.inf
+        return _uniform_grid(xs[0], xs[-1], cells)
     return xs
 
 

@@ -31,7 +31,7 @@ def _shoot_loop(f, i_match):
         if abs(y_cur) > 1e200:
             y_prev *= 1e-200
             y_cur *= 1e-200
-    return _wronskian(yl, yl_next, y_cur, y_prev)
+    return _wronskian(yl, yl_next, y_cur, y_prev)[0]
 
 
 def _count_nodes_loop(f):

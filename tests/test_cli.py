@@ -774,3 +774,87 @@ def test_wronskian_check_refuses_an_unbounded_grid(tmp_path, capsys,
                  _write(tmp_path, text)]) == EXIT_NONCONVERGENCE
     assert time.perf_counter() - t0 <= 5.0
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+WIDE_X2 = """\
+[problem]
+potential = "x^2"
+hbar = {h}
+energy_min = 0.3
+energy_max = {e_max}
+"""
+TINY_RADII = "[wronlab]\ncutoff_r1 = 5e-324\ncutoff_r2 = 1e-323\n"
+HUGE_RADII = "[wronlab]\ncutoff_r1 = 0.1\ncutoff_r2 = 1e300\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, h, radii, code, message", [
+    # 2.5e11 rows: refused before an index array is allocated
+    ("spectrum", "1e-12", "", EXIT_NONCONVERGENCE, "a request may list"),
+    ("gram-scan", "1e-12", "", EXIT_NONCONVERGENCE, "a request may list"),
+    ("oracle", "1e-12", "", EXIT_NONCONVERGENCE, "would need"),
+    ("wronskian-check", "1e-12", "", EXIT_NONCONVERGENCE,
+     "exceeds the limit"),
+    # hbar^2 below the least normal float: every layer divides by it
+    *((command, h, "", EXIT_VALIDATION, "where hbar^2 is a normal float")
+      for command in ("spectrum", "gram-scan", "oracle", "wronskian-check")
+      for h in ("5e-324", "1e-300")),
+    # a transition too narrow for a float spacing needs an infinite grid;
+    # one 1e300 wide has derivative bounds that underflow to 0
+    ("wronskian-check", "0.05", TINY_RADII, EXIT_NONCONVERGENCE,
+     "grid of inf points exceeds the limit"),
+    ("wronskian-check", "0.05", HUGE_RADII, EXIT_NONCONVERGENCE, "error: "),
+])
+def test_extreme_hbar_and_radii_exit_2_or_3(tmp_path, capsys, command, h,
+                                            radii, code, message):
+    text = WIDE_X2.format(h=h, e_max=0.8) + radii
+    assert main([command, "--config", _write(tmp_path, text)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_more_levels_than_the_oracle_solves_leave_its_columns_blank(
+        tmp_path, capsys):
+    # x^2 at h = 0.001 on [0.3, 0.8]: 250 levels, past the oracle's 200
+    cfg = _write(tmp_path, WIDE_X2.format(h=0.001, e_max=0.8))
+    reason = "holds 251 levels on the base grid, more than the 200"
+    assert main(["oracle", "--config", cfg]) == EXIT_NONCONVERGENCE
+    assert reason in capsys.readouterr().err
+    assert main(["spectrum", "--config", cfg]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(150, 400))
+    assert all(r[4:] == ["", "", ""] for r in rows)
+
+
+EXPONENT_CONFIG = """\
+[problem]
+potential = "x^2 + 0.1*2^x"
+hbar = 0.05
+energy_min = 0.3
+energy_max = 0.8
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["spectrum", "gram-scan", "oracle",
+                                     "wronskian-check"])
+def test_an_exponent_reading_x_exits_0(tmp_path, capsys, command):
+    assert main([command, "--config",
+                 _write(tmp_path, EXPONENT_CONFIG)]) == EXIT_OK
+    if command == "spectrum":
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [2, 3, 4, 5, 6]
+        assert max(float(r[6]) for r in rows) < 1e-10
+
+
+def test_an_expression_error_of_any_kind_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    def fails(*args):
+        raise exprjet.ExprError("an expression the fast path refuses")
+
+    monkeypatch.setattr(cli, "validate_well", fails)
+    assert main(["spectrum", "--config", _write(tmp_path, BASE_CONFIG)]) \
+        == EXIT_VALIDATION
+    assert "the fast path refuses" in capsys.readouterr().err

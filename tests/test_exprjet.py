@@ -297,6 +297,10 @@ def _walk_derivs2(e, x):
         u, u1, u2 = _walk_derivs2(e.arg, x)
         F, F1, F2, _, _ = _unary_derivs(e.func, u, str(e))
         return F, F1 * u1, F2 * u1 * u1 + F1 * u2
+    if e.op == "^" and "x" in variables(e.right):
+        # l^r = exp(r log l), as jet_eval takes a non-constant exponent
+        return _walk_derivs2(
+            Call("exp", BinOp("*", e.right, Call("log", e.left))), x)
     l, l1, l2 = _walk_derivs2(e.left, x)
     if e.op == "^":
         r = e.right
@@ -308,9 +312,7 @@ def _walk_derivs2(e, x):
             F1 = n * _power(l, n - 1)
             F2 = n * (n - 1) * _power(l, n - 2) if n != 1 else l * 0.0
             return F, F1 * l1, F2 * l1 * l1 + F1 * l2
-        rr, r1, _ = _walk_derivs2(r, x)
-        if np.any(np.asarray(r1) != 0):
-            raise ExprError("non-constant exponents unsupported in fast path")
+        rr, _, _ = _walk_derivs2(r, x)
         F, F1, F2, _, _ = _real_pow_derivs(l, rr, str(e))
         return F, F1 * l1, F2 * l1 * l1 + F1 * l2
     r, r1, r2 = _walk_derivs2(e.right, x)
@@ -610,6 +612,62 @@ def test_compiled_derivs2_agrees_with_jets_at_the_edges():
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-300), \
                         where
     assert compared > 200
+
+
+def _two_to_the_x(x):
+    """(f, f', f'') of x^2 + 0.1 2^x."""
+    g, ln2 = 0.1 * 2.0 ** x, math.log(2.0)
+    return x * x + g, 2.0 * x + ln2 * g, 2.0 + ln2 * ln2 * g
+
+
+def _one_plus_x2_to_the_x(x):
+    """(f, f', f'') of (1 + x^2)^x = exp(x L), L = log(1 + x^2)."""
+    q = 1.0 + x * x
+    f, d = q ** x, math.log(q) + 2.0 * x * x / q
+    return f, f * d, f * (d * d + 2.0 * x / q + 4.0 * x / (q * q))
+
+
+@pytest.mark.parametrize("text, closed", [
+    ("x^2 + 0.1*2^x", _two_to_the_x),
+    ("(1 + x^2)^x", _one_plus_x2_to_the_x),
+])
+def test_an_exponent_reading_x_is_differentiated_as_exp_of_a_log(text,
+                                                                  closed):
+    e = parse(text)
+    xs = (-2.5, -1.3, 0.0, 0.7, 3.0)
+    for x in xs:
+        for got, want in zip(eval_x_derivs2(e, x), closed(x)):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15), x
+    arrays = eval_x_derivs2(e, np.array(xs))
+    for k, x in enumerate(xs):
+        assert tuple(a[k] for a in arrays) == eval_x_derivs2(e, x)
+
+
+def test_exponents_reading_x_agree_with_jets_at_the_edges():
+    trees = [parse(t) for t in EDGE_TEXTS]
+    trees = [e for e in trees
+             if variables(e) == {"x"} and not _constant_exponents(e)]
+    assert len(trees) >= 3
+    compared = 0
+    for e in trees:
+        for x in EDGE_X:
+            ref = _outcome(_jet_derivs2, e, x)
+            got = _outcome(eval_x_derivs2, e, x)
+            where = f"{e} at {x!r}: {got} vs {ref}"
+            if ref[0] == "raise":
+                assert got[0] == "raise" and issubclass(got[1], ExprError), \
+                    where
+                continue
+            assert got[0] != "raise", where
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                pairs = zip(eval_x_derivs2(e, x), _jet_derivs2(e, x))
+            for a, b in pairs:
+                if np.isfinite(a) and np.isfinite(b):
+                    compared += 1
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-300), \
+                        where
+    assert compared >= 30
 
 
 # expressions n levels deep: nested groups, calls, negations and powers

@@ -8,7 +8,8 @@ import pytest
 
 from numerov_reference import eigenfunction
 from semibs import oracle, orbit
-from semibs.oracle import OracleConfig, _solve_on_grid, oracle_spectrum
+from semibs.oracle import (OracleConfig, OracleError, _solve_on_grid,
+                           oracle_spectrum)
 from semibs.quantize import convergence_fit
 from semibs.symbols import (EnergyWindow, HamiltonianSymbol, builtin,
                             from_potential)
@@ -136,6 +137,30 @@ def test_the_level_solves_stop_at_the_first_level_above_the_window(
         [1.0 - (1.0 - 0.05 * (n + 0.5)) ** 2 for n in counts], abs=1e-9)
     assert counts == [14, 15, 16, 17, 18]
     assert solved == counts + [19]
+
+
+def test_a_window_of_more_than_max_levels_is_refused_before_any_solve(
+        monkeypatch, harmonic):
+    # x^2 at h = 0.001 on [0.3, 0.8]: the base grid counts 251 levels
+    # (150 .. 400), which the oracle refuses, naming the count and the
+    # cap, before any level is solved
+    def refused(*args):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(oracle, "_refined_level", refused)
+    with pytest.raises(OracleError, match="holds 251 levels on the base "
+                                          "grid, more than the 200"):
+        oracle_spectrum(harmonic, 0.001, EnergyWindow(0.3, 0.8))
+
+
+def test_a_window_of_max_levels_is_solved_whole(monkeypatch, harmonic,
+                                                window):
+    # the five levels of the window at h = 0.1, with the cap at 5 and at 4
+    monkeypatch.setattr(oracle, "MAX_LEVELS", 5)
+    assert len(oracle_spectrum(harmonic, 0.1, window)) == 5
+    monkeypatch.setattr(oracle, "MAX_LEVELS", 4)
+    with pytest.raises(OracleError, match="holds 5 levels"):
+        oracle_spectrum(harmonic, 0.1, window)
 
 
 def test_v_is_evaluated_once_per_grid_per_request(monkeypatch, harmonic,

@@ -159,3 +159,28 @@ def test_a_guess_that_converges_to_a_neighbour_is_refused(monkeypatch,
     assert len(roots) == 2 and isolated == [n]
     assert roots[0] == pytest.approx(e_next, abs=1e-12)
     assert e == pytest.approx(ref, abs=1e-12)
+
+
+def test_match_values_near_1e200_give_a_finite_defect():
+    """A sweep's last run may end near 1e200: each shot is scaled to unit
+    length before any product, so the defect and the parity sign are
+    those of the same shots at unit scale."""
+    big = oracle._wronskian(1e200, -3e200, 2e200, 5e200)
+    unit = oracle._wronskian(1.0, -3.0, 2.0, 5.0)
+    assert math.isfinite(big[0]) and big[0] == pytest.approx(unit[0],
+                                                              rel=1e-15)
+    assert big[1] == unit[1] == -1.0
+    assert big[2:] == pytest.approx((1e200 * unit[2], 1e200 * unit[3]),
+                                    rel=1e-15)
+
+
+def test_harmonic_levels_whose_shots_reach_1e200_are_found():
+    """x^2 at h = 0.001 on [0.3, 0.31]: the shots of levels 150 .. 154 end
+    near 1e200 at the match point, where products of the unscaled match
+    values overflowed and no root was confirmed."""
+    energies, counts = oracle_spectrum(WELLS["x^2"], 0.001,
+                                       EnergyWindow(0.3, 0.31),
+                                       return_counts=True)
+    assert counts == [150, 151, 152, 153, 154]
+    for n, e in zip(counts, energies):
+        assert e == pytest.approx(0.001 * (2 * n + 1), abs=1e-12)
