@@ -317,8 +317,10 @@ def cmd_wronskian_check(cfg, out):
     else:
         chi_a = wronlab.default_cutoff(sym, e, h, "a")
         chi_ap = wronlab.default_cutoff(sym, e, h, "a'")
+    # the second cutoff the chi-independence check compares chi_a against
+    chi_2 = wronlab.default_cutoff(sym, e, h, "a", lo_frac=0.1, hi_frac=0.65)
     # the grid must resolve the cutoff transitions as well as the phase
-    xs = wronlab._resolve_transitions(xs, [chi_a, chi_ap])
+    xs = wronlab._resolve_transitions(xs, [chi_a, chi_ap, chi_2])
 
     checks = []
     rep_a = wronlab.flux_norm_check(sym, e, h, "a", chi=chi_a, xs=xs)
@@ -327,8 +329,8 @@ def cmd_wronskian_check(cfg, out):
     checks.append(("flux_norm_a_prime", rep_ap.residual, 0.1))
     checks.append(("mixed_term", abs(rep_a.mixed_pm),
                    1e-4 * max(rep_a.norm_sq, 1.0)))
-    chi_rep = wronlab.chi_independence_check(sym, e, h, "a",
-                                             chi_1=chi_a, xs=xs)
+    chi_rep = wronlab.chi_independence_check(sym, e, h, "a", chi_1=chi_a,
+                                             chi_2=chi_2, xs=xs)
     checks.append(("chi_independence", chi_rep.difference, chi_rep.bound))
     checks.append(("sum_identity", abs(chi_rep.sum_identity),
                    1e-4 * max(chi_rep.norm_sq, 1.0)))

@@ -10,16 +10,15 @@ level with no confirmed root is an OracleError.  Levels are solved in
 node-count order, which is energy order, so the solves stop at the first
 refined level above the window: no later level can refine into it.  A
 window in which the base grid counts more than MAX_LEVELS levels is
-refused before any level is solved.
-On the base grid Newton
-starts inside a Sturm bracket: the energy range is bisected on the node
-count until the bracket holds that level and no other, and the counts
-taken are shared by all the levels of the request.  Grid resolution is
-doubled (with one Richardson step) until two grids agree; on a doubled
-grid Newton starts from the previous grid's level, inside twice that
-grid's error bound, with no count taken first, and falls back to a Sturm
-bracket only when the root's own counts refuse it.  Each grid, and V on
-it, is built once per request.
+refused before any level is solved.  On the base grid Newton starts
+inside a Sturm bracket: the energy range is bisected on the node count
+until the bracket holds that level and no other, and the counts taken are
+shared by all the levels of the request.  Grid resolution is doubled
+(with one Richardson step) until two grids agree; on a doubled grid
+Newton starts from the previous grid's level, inside twice that grid's
+error bound, with no count taken first, and falls back to a Sturm bracket
+only when the root's own counts refuse it.  Each grid, and V on it, is
+built once per request.
 
 The Dirichlet interval is built outward from the well minimum that
 ``symbols.well_minimum`` finds; nothing here comes from ``orbit`` or

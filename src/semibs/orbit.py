@@ -15,9 +15,8 @@ vectorised turning-point solve, ``_turning_points_array``, then one 2-D
 ``turning_points`` solves one energy by Brent's method on [x0, end], x0
 from ``symbols.well_minimum`` and end the end of ``symbols.scan_domain``,
 memoised on (V, E); both solves take their brackets from the scan domain,
-the one outward search.  The wronskian lab and
-``FocalFrame`` (x(xi) is the turning point at E - xi^2) ask for one energy
-at a time, where this scalar solve pays: 35-70 us against 260-360 us as a
+the one outward search.  The wronskian lab asks for one energy at a time,
+where this scalar solve pays: 35-70 us against 260-360 us as a
 one-element array (2-vCPU Xeon).  The two solves agree to a few ulp: S0
 moves by a few ulp, the integrals of 1/xi+ by up to their rounding floor.
 
@@ -36,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .exprjet import compiled, compiled_derivs2, jet_eval
+from .exprjet import compiled, compiled_derivs2
 from .symbols import (HamiltonianSymbol, scan_domain, scan_domain_array,
                       well_minimum, well_minimum_array)
 
@@ -389,33 +388,3 @@ def _row_sums(arrays, rad):
     sums = np.add.reduce(arrays, axis=-1)
     sums[0] *= 2.0 * rad[:, 0]
     return sums
-
-
-class FocalFrame:
-    """Local data of the Lagrangian curve near a focal point, as functions
-    of xi along the branch: x(xi), alpha = d_x p0 and
-    psi'' = d_xi p0 / alpha."""
-
-    def __init__(self, sym, e, side="right"):
-        if side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
-        self.symbol = sym
-        self.e = e
-        self.side = side
-        self.x_focal, self.xi_focal = self.x_of_xi(0.0), 0.0
-
-    def x_of_xi(self, xi):
-        """x on the branch through the focal point where V(x) = E - xi^2:
-        the turning point on the frame's side at energy E - xi^2."""
-        xl, xr = turning_points(self.symbol, self.e - xi * xi)
-        return xr if self.side == "right" else xl
-
-    def jet(self, xi):
-        return jet_eval(self.symbol.p0, (self.x_of_xi(xi), xi))
-
-    def alpha(self, xi):
-        return self.jet(xi).derivative(1, 0)
-
-    def psi_dd(self, xi):
-        j = self.jet(xi)
-        return j.derivative(0, 1) / j.derivative(1, 0)

@@ -7,11 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from semibs.actions import (C0, FocalEvaluationError, action_series,
-                            d1_brackets, gamma_integral, normalization_c1,
-                            t1_value)
+from reference import (C0, FocalEvaluationError, FocalFrame, d1_brackets,
+                       gamma_integral, normalization_c1, t1_value)
+from semibs.actions import action_series
 from semibs.exprjet import evaluate
-from semibs.orbit import FocalFrame, trace_orbit
+from semibs.orbit import trace_orbit
 from semibs.symbols import builtin
 
 

@@ -734,6 +734,55 @@ def test_bad_cutoff_radii_exit_2(tmp_path, capsys, radii, key):
     assert key in capsys.readouterr().err
 
 
+X2_H05 = """\
+[problem]
+potential = "x^2"
+hbar = 0.05
+[wronlab]
+"""
+
+
+def test_configured_radii_refine_the_grid_for_the_second_cutoff(
+        tmp_path, capsys, monkeypatch):
+    # x^2, h 0.05, default window: the admissible grid is [-0.1249, 0.1249].
+    # The independence check's second cutoff changes on [-0.0999, 0.0375],
+    # 0.025 from the left end: 8 points of a grid refined for the radii
+    # (0.62, 0.82) alone, so the grid is refined for it too
+    compared = []
+    chi_independence_check = wronlab.chi_independence_check
+
+    def spy(*args, **kwargs):
+        compared.append(kwargs["chi_2"])
+        return chi_independence_check(*args, **kwargs)
+
+    monkeypatch.setattr(wronlab, "chi_independence_check", spy)
+    text = X2_H05 + "cutoff_r1 = 0.62\ncutoff_r2 = 0.82\n"
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, text)]) == EXIT_OK
+    checks = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(checks) == 8
+    assert all(line.endswith(",1") for line in checks)
+    sym, e, h = symbols.from_potential("x^2"), 0.525, 0.05
+    assert compared == [wronlab.default_cutoff(sym, e, h, "a", lo_frac=0.1,
+                                               hi_frac=0.65)]
+
+
+@pytest.mark.parametrize("radii, transition", [
+    ("cutoff_r1 = 0.2\ncutoff_r2 = 0.6\n", "[0.124569, 0.524569]"),
+    ("cutoff_r1 = 0.3\ncutoff_r2 = 0.9\n", "[-0.175431, 0.424569]"),
+])
+def test_a_transition_at_the_grid_edge_is_refused_with_both_named(
+        tmp_path, capsys, radii, transition):
+    # chi_a's own transition reaches the right end of the admissible grid:
+    # the refusal names it and the grid's ends
+    assert main(["wronskian-check", "--config",
+                 _write(tmp_path, X2_H05 + radii)]) == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert "cutoff transition too close to the grid edge" in err
+    assert f"the transition {transition} must keep 8 dx" in err
+    assert "the grid [-0.124897, 0.124897]" in err
+
+
 def test_grid_points_per_oscillation_is_used_as_given(tmp_path, capsys,
                                                       monkeypatch):
     asked = []
@@ -803,13 +852,17 @@ HUGE_RADII = "[wronlab]\ncutoff_r1 = 0.1\ncutoff_r2 = 1e300\n"
     # one 1e300 wide has derivative bounds that underflow to 0
     ("wronskian-check", "0.05", TINY_RADII, EXIT_NONCONVERGENCE,
      "grid of inf points exceeds the limit"),
-    ("wronskian-check", "0.05", HUGE_RADII, EXIT_NONCONVERGENCE, "error: "),
+    # its transition fits the grid, so the run prints its check table and
+    # exits 3 on the checks that fail
+    ("wronskian-check", "0.05", HUGE_RADII, EXIT_NONCONVERGENCE,
+     "check,value,bound,pass\nflux_norm_a,1.0,0.1,0\n"),
 ])
 def test_extreme_hbar_and_radii_exit_2_or_3(tmp_path, capsys, command, h,
                                             radii, code, message):
     text = WIDE_X2.format(h=h, e_max=0.8) + radii
     assert main([command, "--config", _write(tmp_path, text)]) == code
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in (captured.out if radii == HUGE_RADII else captured.err)
 
 
 def test_more_levels_than_the_oracle_solves_leave_its_columns_blank(

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from reference import FocalFrame, gamma_integral
 from semibs import orbit
-from semibs.actions import gamma_integral
 from semibs.exprjet import evaluate
-from semibs.orbit import (ConvergenceError, FocalFrame, OrbitError,
-                          action_s0, orbit_integral, orbit_quadrature,
-                          trace_orbit, turning_points)
+from semibs.orbit import (ConvergenceError, OrbitError, action_s0,
+                          orbit_integral, orbit_quadrature, trace_orbit,
+                          turning_points)
 from semibs.symbols import builtin, from_potential
 
 

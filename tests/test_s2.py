@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from semibs import actions, quantize
-from semibs.actions import action_series, gamma_integral
+import reference
+from reference import gamma_integral
+from semibs import quantize
+from semibs.actions import action_series
 from semibs.orbit import orbit_quadrature, trace_orbit
 from semibs.quantize import bs_solve, gram_scan
 from semibs.symbols import EnergyWindow, builtin, from_potential
@@ -82,7 +84,7 @@ def test_quantize_path_evaluates_no_gamma(monkeypatch, window):
     def refuse(*args, **kwargs):
         raise AssertionError("Gamma evaluated on the quantize path")
 
-    monkeypatch.setattr(actions, "_gamma_on_samples", refuse)
+    monkeypatch.setattr(reference, "_gamma_on_samples", refuse)
     sym = builtin("anharmonic", {"lam": 0.3, "p1": "0.2*x", "p2": "0.5"})
     assert bs_solve(sym, 0.1, window, order=2).rows
     _, zeros = gram_scan(sym, window, 0.1, steps=40, order=2)

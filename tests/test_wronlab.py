@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from reference import dump_csv
 from semibs import wronlab
 from semibs.wronlab import (CutoffSpec, GridError, GridFunction, WronlabError,
                             airy_exclusion, apply_commutator, build_wkb,
                             build_wkb_pair, chi_independence_check,
                             commutator_wronskian_identity, default_cutoff,
-                            default_grid, dump_csv, flux_norm_check,
-                            gram_numeric)
+                            default_grid, flux_norm_check, gram_numeric)
 from semibs.orbit import orbit_quadrature, turning_points
 from semibs.symbols import builtin, from_potential
 
