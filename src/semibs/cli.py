@@ -318,7 +318,7 @@ def cmd_wronskian_check(cfg, out):
         chi_a = wronlab.default_cutoff(sym, e, h, "a")
         chi_ap = wronlab.default_cutoff(sym, e, h, "a'")
     # the second cutoff the chi-independence check compares chi_a against
-    chi_2 = wronlab.default_cutoff(sym, e, h, "a", lo_frac=0.1, hi_frac=0.65)
+    chi_2 = wronlab.default_cutoff(sym, e, h, "a", *wronlab.CHI_2_FRACS)
     # the grid must resolve the cutoff transitions as well as the phase
     xs = wronlab._resolve_transitions(xs, [chi_a, chi_ap, chi_2])
 

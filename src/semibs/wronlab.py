@@ -706,6 +706,10 @@ def default_cutoff(sym, e, h, basepoint="a", lo_frac=0.2, hi_frac=0.5):
     return CutoffSpec(center=center, r1=hi - center, r2=lo - center)
 
 
+# (lo_frac, hi_frac) of the second cutoff the chi-independence check
+# compares against; its transition is wider than the default's
+CHI_2_FRACS = (0.1, 0.65)
+
 # calibrated on the harmonic well (see tests): |W(chi1) - W(chi2)| stays
 # below CHI_INDEP_C * h^2 * (1 + ||u||^2) across admissible cutoff pairs
 CHI_INDEP_C = 10.0
@@ -728,8 +732,7 @@ def chi_independence_check(sym, e, h, basepoint="a", chi_1=None, chi_2=None,
     if chi_1 is None:
         chi_1 = default_cutoff(sym, e, h, basepoint)
     if chi_2 is None:
-        chi_2 = default_cutoff(sym, e, h, basepoint, lo_frac=0.1,
-                               hi_frac=0.65)
+        chi_2 = default_cutoff(sym, e, h, basepoint, *CHI_2_FRACS)
     if xs is None:
         xs = _resolve_transitions(default_grid(sym, e, h), [chi_1, chi_2])
     xs = np.asarray(xs, dtype=float)

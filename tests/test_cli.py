@@ -763,8 +763,8 @@ def test_configured_radii_refine_the_grid_for_the_second_cutoff(
     assert len(checks) == 8
     assert all(line.endswith(",1") for line in checks)
     sym, e, h = symbols.from_potential("x^2"), 0.525, 0.05
-    assert compared == [wronlab.default_cutoff(sym, e, h, "a", lo_frac=0.1,
-                                               hi_frac=0.65)]
+    assert compared == [wronlab.default_cutoff(sym, e, h, "a",
+                                               *wronlab.CHI_2_FRACS)]
 
 
 @pytest.mark.parametrize("radii, transition", [
