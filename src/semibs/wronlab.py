@@ -13,10 +13,18 @@ memos keyed on the symbol, the grid and what else the piece depends on:
   short offsets from the turning points to the grid ends (Gauss-Legendre
   after y = x_tp + s u^2, the node count doubled until it converges);
 - the cutoff profile of (V, chi, grid): chi, chi', chi'' and V on the grid,
-  and the check that the transition keeps clear of the grid edges;
+  the check that the transition keeps clear of the grid edges, and the
+  transition window outside which [P, chi] u is exactly 0;
 - the branch fluxes of (V, E, h, basepoint, chi, order, grid): the two
   branches u_+-, and F_+- = (i/h)[P, chi] u_+-, shared by the flux-norm,
   cutoff-independence and Gram checks.
+
+Two reductions are exact, bit for bit.  When the phase is odd in rho (at
+order 0, and whenever p1 reads no xi) the minus branch is the conjugate of
+the plus branch, u_- = conj(u_+), and so F_- = -conj(F_+): one branch and
+one commutator per record.  And the commutator is evaluated only on its
+cutoff's transition window, padded by 8 points; elsewhere chi is locally 0
+or 1 and the result is 0.
 
 The exact solutions of the commutator identity check come from the
 oracle's Numerov sweep, one banded solve per solution.  Turning points
@@ -32,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exprjet import evaluate, is_zero_expr
+from .exprjet import evaluate, is_zero_expr, variables
 from .oracle import _sweep
 from .orbit import turning_points
 from .symbols import well_minimum
@@ -263,7 +271,10 @@ def default_grid(sym, e, h, points_per_oscillation=63):
     dl, dr = airy_exclusion(sym, e, h)
     a, b = xl + dl, xr - dr
     if not a < b:
-        raise GridError("turning zones overlap: h too large for this window")
+        # the keep-out widths go as h^(2/3)
+        h_clear = h * ((xr - xl) / (dl + dr)) ** 1.5
+        raise GridError("turning zones overlap: h too large for this window "
+                        f"(the zones clear for hbar below {h_clear:.3g})")
     xi_max = math.sqrt(max(e - well_minimum(sym.potential, e)[1], 0.0))
     dx_osc = 2.0 * math.pi * h / (xi_max * points_per_oscillation)
     dx = min(dx_osc, h / (10.0 * xi_max))
@@ -427,13 +438,25 @@ def build_wkb(sym, e, h, basepoint="a", rho=+1, order=0, xs=None):
                         values=values)
 
 
+def _conjugate_branches(sym, order):
+    """True when the branch phase is odd in rho, so u_- = conj(u_+): at
+    order 0, and at any order when p1 reads no xi."""
+    return order == 0 or "xi" not in variables(sym.p1)
+
+
 def build_wkb_pair(sym, e, h, basepoint="a", order=0, xs=None):
-    """(u_+, u_-) branches on a shared grid."""
+    """(u_+, u_-) branches on a shared grid.
+
+    When ``_conjugate_branches`` holds, u_- is taken as conj(u_+): the
+    e^{+-i pi/4} prefactors and the +-S/h phases mirror each other, so the
+    conjugate is what ``build_wkb(rho=-1)`` computes, bit for bit.  A p1
+    that reads xi at order >= 1 breaks the symmetry, and u_- is built."""
     if xs is None:
         xs = default_grid(sym, e, h)
     up = build_wkb(sym, e, h, basepoint, +1, order, xs)
-    um = build_wkb(sym, e, h, basepoint, -1, order, xs)
-    return up, um
+    if _conjugate_branches(sym, order):
+        return up, GridFunction(up.x0, up.dx, np.conj(up.values))
+    return up, build_wkb(sym, e, h, basepoint, -1, order, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +495,18 @@ PROFILE_CACHE_SIZE = 4   # (symbol, cutoff, grid) profiles remembered
 
 @dataclass(frozen=True)
 class _Profile:
-    """chi, chi', chi'' and V on one grid; the arrays are read-only."""
+    """chi, chi', chi'' and V on one grid; the arrays are read-only.
+
+    ``window`` = (lo, hi) is the index range where chi is not exactly 0.0
+    or 1.0, steps between neighbours, or has chi' or chi'' nonzero, padded
+    by the 8 points of the edge check's margin and clipped to the grid;
+    (0, 0) when chi is constant on the whole grid."""
 
     chi: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     v: np.ndarray
+    window: tuple
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
@@ -502,8 +531,17 @@ def _cutoff_profile(sym, chi, x0, dx, n):
             f"of margin): the transition {where} must keep 8 dx = "
             f"{8 * dx:.3g} clear of the ends of the grid "
             f"[{xs[0]:.6g}, {xs[-1]:.6g}]")
-    prof = _Profile(chi=chi.value(xs), d1=d1, d2=chi.d2value(xs),
-                    v=np.asarray(sym.v(xs) + 0.0 * xs, dtype=float))
+    cv, d2 = chi.value(xs), chi.d2value(xs)
+    moving = ((cv != 0.0) & (cv != 1.0)) | (d1 != 0.0) | (d2 != 0.0)
+    step = cv[1:] != cv[:-1]
+    moving[1:] |= step
+    moving[:-1] |= step
+    idx = np.flatnonzero(moving)
+    window = (max(int(idx[0]) - 8, 0), min(int(idx[-1]) + 9, n)) \
+        if len(idx) else (0, 0)
+    prof = _Profile(chi=cv, d1=d1, d2=d2,
+                    v=np.asarray(sym.v(xs) + 0.0 * xs, dtype=float),
+                    window=window)
     for a in (prof.chi, prof.d1, prof.d2, prof.v):
         a.flags.writeable = False
     return prof
@@ -517,23 +555,39 @@ def apply_commutator(sym, h, chi, u, check_tol=None):
     (-h^2)(chi'' u + 2 chi' u') and a CommutatorCheckError is raised if
     the two disagree beyond ``check_tol`` (default: 1e-8 * ||u|| plus the
     expected 4th-order finite-difference error for the sampled phase).
-    chi, its derivatives and V on the grid come from the memoised
-    ``_cutoff_profile``.
+    chi, its derivatives, V and the transition window on the grid come
+    from the memoised ``_cutoff_profile``.
+
+    Both routes are evaluated on the window only, and the result is 0
+    outside it: there chi is the same 0 or 1 at every point within 8, so
+    chi u is 0 or u bit for bit and P(chi u) - chi (P u) is exactly 0.  On
+    the window the values are the whole grid's, bit for bit: a point 2 or
+    more from the window's ends takes the same centred stencil, and the 2
+    points at each end lie either at the grid's end, with the same
+    one-sided stencils, or in the 8-point margin, where either stencil
+    gives 0.  A cutoff constant on the whole grid gives all zeros.  ||u||
+    and the tolerance's wavenumber come from the whole grid.
     """
     dx = u.dx
     prof = _cutoff_profile(sym, chi, u.x0, dx, u.n)
-    cv, v = prof.chi, prof.v
     y = u.values
-
-    def apply_p(f):
-        return -h * h * _fd2(f, dx) + v * f
-
     du = _fd1(y, dx)
-    route_a = (1j / h) * (apply_p(cv * y) - cv * apply_p(y))
-    route_b = (1j / h) * (-h * h) * (prof.d2 * y + 2.0 * prof.d1 * du)
+    out = np.zeros(u.n, dtype=complex)
+    diff = 0.0
+    lo, hi = prof.window
+    if lo < hi:
+        cv, v, yw = prof.chi[lo:hi], prof.v[lo:hi], y[lo:hi]
+
+        def apply_p(f):
+            return -h * h * _fd2(f, dx) + v * f
+
+        route_a = (1j / h) * (apply_p(cv * yw) - cv * apply_p(yw))
+        route_b = (1j / h) * (-h * h) * (prof.d2[lo:hi] * yw
+                                         + 2.0 * prof.d1[lo:hi] * du[lo:hi])
+        out[lo:hi] = route_a
+        diff = math.sqrt(float(np.sum(np.abs(route_a - route_b) ** 2)) * dx)
 
     norm_u = math.sqrt(float(np.sum(np.abs(y) ** 2)) * dx)
-    diff = math.sqrt(float(np.sum(np.abs(route_a - route_b) ** 2)) * dx)
     if check_tol is None:
         # Expected route disagreement: both routes differ by 4th-order
         # finite-difference remainders h dx^4 [(1/90)(chi u)^(6)-terms
@@ -550,7 +604,7 @@ def apply_commutator(sym, h, chi, u, check_tol=None):
         raise CommutatorCheckError(
             f"commutator routes disagree: {diff:.3e} > "
             f"{check_tol:.3e} * ||u||")
-    return GridFunction(u.x0, u.dx, route_a)
+    return GridFunction(u.x0, u.dx, out)
 
 
 # the exact solutions of the identity check: (y, y') at the grid's start
@@ -630,7 +684,8 @@ FLUX_CACHE_SIZE = 3   # the (basepoint, cutoff) pairs of one request
 
 
 def _branch_fluxes(sym, e, h, basepoint, chi, order, xs):
-    """(u_+, u_-, F_+, F_-) with F = (i/h)[P, chi] u, on the grid xs.
+    """(u_+, u_-, F_+, F_-) with F = (i/h)[P, chi] u, on the grid xs;
+    F_- = -conj(F_+) when u_- = conj(u_+) (``_conjugate_branches``).
 
     Memoised on the symbol, E, h, basepoint, cutoff, order and the grid's
     bytes, so the checks of one request share them; a hit returns what
@@ -645,7 +700,10 @@ def _flux_record(sym, e, h, basepoint, chi, order, grid):
     xs = np.frombuffer(grid, dtype=float)
     up, um = build_wkb_pair(sym, e, h, basepoint, order, xs)
     fp = apply_commutator(sym, h, chi, up)
-    fm = apply_commutator(sym, h, chi, um)
+    if _conjugate_branches(sym, order):   # [P, chi] is real: F_- = -conj F_+
+        fm = GridFunction(fp.x0, fp.dx, -np.conj(fp.values))
+    else:
+        fm = apply_commutator(sym, h, chi, um)
     for gf in (up, um, fp, fm):
         gf.values.flags.writeable = False
     return up, um, fp, fm

@@ -1,7 +1,7 @@
 """References the tests hold ``semibs`` to that no request of the program
 reads: the focal frame and the pointwise focal-arc densities t1 and d1,
-the Gamma integral over an ODE-traced orbit, and a CSV dump of a grid
-function.
+the Gamma integral over an ODE-traced orbit, the cutoff commutator on the
+whole grid, and a CSV dump of a grid function.
 
 The focal-arc densities are pointwise only: a full-orbit quadrature of
 them is never attempted (they are singular at the well bottom).
@@ -9,8 +9,11 @@ them is never attempted (they are singular at the well bottom).
 
 import math
 
+import numpy as np
+
 from semibs.exprjet import evaluate, jet_eval
 from semibs.orbit import orbit_integral, turning_points
+from semibs.wronlab import GridFunction, _fd2
 
 
 class FocalFrame:
@@ -114,6 +117,23 @@ def gamma_integral(sym, orb, rel_tol=1e-12):
     """\\oint Gamma dt over an ODE-traced orbit (``orbit.trace_orbit``)."""
     return orbit_integral(orb, lambda x, xi: _gamma_on_samples(sym, x, xi),
                           rel_tol=rel_tol)
+
+
+def commutator_full(sym, h, chi, u):
+    """(i/h)[P, chi] u by the defining route P(chi u) - chi (P u), with
+    P = -h^2 d^2/dx^2 + V, evaluated at every point of u's grid: the body
+    ``wronlab.apply_commutator`` had before it kept to the transition
+    window, without the route cross-check."""
+    xs = u.x0 + u.dx * np.arange(u.n)
+    cv = chi.value(xs)
+    v = np.asarray(sym.v(xs) + 0.0 * xs, dtype=float)
+    y = u.values
+
+    def apply_p(f):
+        return -h * h * _fd2(f, u.dx) + v * f
+
+    route_a = (1j / h) * (apply_p(cv * y) - cv * apply_p(y))
+    return GridFunction(u.x0, u.dx, route_a)
 
 
 def dump_csv(gf, stream):

@@ -5,6 +5,7 @@ import configparser
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -224,6 +225,22 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
     assert main(["wronskian-check", "--config",
                  _write(tmp_path, BASE_CONFIG)]) == EXIT_NONCONVERGENCE
     capsys.readouterr()
+
+
+def test_overlapping_turning_zones_name_the_hbar_at_which_they_clear(capsys):
+    # the built-in default: x^2, hbar 0.1, window [0.05, 1.0]
+    assert main(["wronskian-check"]) == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert "turning zones overlap" in err
+    h_clear = float(re.search(r"clear for hbar below ([^)]+)\)", err)[1])
+    assert h_clear == pytest.approx(0.0664, abs=1e-4)
+    # the zones clear just below that hbar, and overlap just above it
+    assert main(["wronskian-check", "--hbar",
+                 repr(0.99 * h_clear)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["wronskian-check", "--hbar",
+                 repr(1.01 * h_clear)]) == EXIT_NONCONVERGENCE
+    assert "turning zones overlap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,key", [
@@ -519,6 +536,14 @@ def test_wronskian_check_computes_each_commutator_once(tmp_path, capsys,
         return apply_commutator(sym, h, chi, u, check_tol)
 
     monkeypatch.setattr(wronlab, "apply_commutator", counted)
+    built = []
+    build_wkb = wronlab.build_wkb
+
+    def counted_build(*args):
+        built.append(args)
+        return build_wkb(*args)
+
+    monkeypatch.setattr(wronlab, "build_wkb", counted_build)
     evaluated = collections.Counter()   # (method, cutoff) on a whole grid
     for name in ("value", "dvalue", "d2value"):
         method = getattr(wronlab.CutoffSpec, name)
@@ -534,10 +559,12 @@ def test_wronskian_check_computes_each_commutator_once(tmp_path, capsys,
                  _write(tmp_path, text)]) == EXIT_OK
     capsys.readouterr()
     # chi_a, chi_a', the second cutoff of the independence check, and the
-    # identity check's cutoff: 6 branch fluxes, one sum, one identity
+    # identity check's cutoff: 3 branch fluxes, one sum, one identity; the
+    # minus branch and its flux are conjugates of the plus ones
     cutoffs = set(applied)
     assert len(cutoffs) == 4
-    assert len(applied) <= 8
+    assert len(applied) == 5
+    assert len(built) == 3
     assert evaluated == {(name, chi): 1 for chi in cutoffs
                          for name in ("value", "dvalue", "d2value")}
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from reference import dump_csv
+from reference import commutator_full, dump_csv
 from semibs import wronlab
 from semibs.wronlab import (CutoffSpec, GridError, GridFunction, WronlabError,
                             airy_exclusion, apply_commutator, build_wkb,
@@ -223,6 +223,53 @@ def test_wkb_order1_phase_shift():
     assert ratio == pytest.approx(np.exp(-1j * shift), rel=1e-9)
 
 
+@pytest.mark.parametrize("p1, order", [("0", 0), ("x^2", 1)])
+def test_minus_branch_and_flux_are_conjugates_bit_for_bit(p1, order):
+    # the phase is odd in rho: u_- = conj(u_+) and F_- = -conj(F_+) exactly
+    sym = builtin("harmonic", {"p1": p1})
+    e, h = 0.5, 0.02
+    assert wronlab._conjugate_branches(sym, order)
+    for basepoint in ("a", "a'"):
+        chi = default_cutoff(sym, e, h, basepoint)
+        xs = wronlab._resolve_transitions(default_grid(sym, e, h), [chi])
+        up = build_wkb(sym, e, h, basepoint, +1, order, xs)
+        um = build_wkb(sym, e, h, basepoint, -1, order, xs)
+        assert np.array_equal(um.values, np.conj(up.values))
+        fp = apply_commutator(sym, h, chi, up)
+        fm = apply_commutator(sym, h, chi, um)
+        assert np.array_equal(fm.values, -np.conj(fp.values))
+        got = wronlab._branch_fluxes(sym, e, h, basepoint, chi, order, xs)
+        for gf, want in zip(got, (up, um, fp, fm)):
+            assert np.array_equal(gf.values, want.values)
+
+
+def test_a_p1_reading_xi_builds_the_minus_branch(monkeypatch):
+    sym = builtin("harmonic", {"p1": "0.1*xi"})
+    e, h = 0.5, 0.02
+    assert wronlab._conjugate_branches(sym, 0)
+    assert not wronlab._conjugate_branches(sym, 1)
+    chi = default_cutoff(sym, e, h, "a")
+    xs = wronlab._resolve_transitions(default_grid(sym, e, h), [chi])
+    up = build_wkb(sym, e, h, "a", +1, 1, xs)
+    um = build_wkb(sym, e, h, "a", -1, 1, xs)
+    assert not np.array_equal(um.values, np.conj(up.values))
+    fp = apply_commutator(sym, h, chi, up)
+    fm = apply_commutator(sym, h, chi, um)
+    u = up + um
+
+    wronlab._flux_record.cache_clear()
+    applied = []
+    monkeypatch.setattr(wronlab, "apply_commutator",
+                        lambda *args: applied.append(args) or
+                        apply_commutator(*args))
+    rep = flux_norm_check(sym, e, h, "a", chi=chi, order=1, xs=xs)
+    assert len(applied) == 2
+    assert rep.w == u.inner(fp - fm)
+    assert rep.mixed_pm == up.inner(fm)
+    assert rep.mixed_mp == um.inner(fp)
+    assert rep.norm_sq == u.inner(u).real
+
+
 # ---------------------------------------------------------------------------
 # commutator
 
@@ -259,6 +306,76 @@ def test_commutator_margin_guard(harmonic):
     chi = CutoffSpec(center=float(xs[0]) - 0.01, r1=0.005, r2=0.02)
     with pytest.raises(GridError):
         apply_commutator(harmonic, h, chi, u)
+
+
+def _edge_cutoff(xs, side):
+    """A cutoff whose transition starts exactly 8 points from the grid's
+    left (side 0) or right (side -1) end, the least margin allowed."""
+    dx, span = float(xs[1] - xs[0]), float(xs[-1] - xs[0])
+    r1, r2 = 0.1 * span, 0.2 * span
+    sign = 1.0 if side == 0 else -1.0
+    center = float(xs[8 if side == 0 else -9]) + sign * r2
+    for _ in range(8):
+        chi = CutoffSpec(center=center, r1=r1, r2=r2)
+        active = np.flatnonzero(chi.dvalue(xs))
+        margin = active[0] if side == 0 else len(xs) - 1 - active[-1]
+        if margin == 8:
+            return chi
+        center += sign * (8 - margin) * dx
+    raise AssertionError("no cutoff 8 points from the edge")
+
+
+def _window_cases():
+    sym, e, h = builtin("harmonic"), 0.5, 0.02
+    chi_a = default_cutoff(sym, e, h, "a")
+    chi_ap = default_cutoff(sym, e, h, "a'")
+    chi_2 = default_cutoff(sym, e, h, "a", *wronlab.CHI_2_FRACS)
+    xs = wronlab._resolve_transitions(default_grid(sym, e, h),
+                                      [chi_a, chi_ap, chi_2])
+    u = build_wkb(sym, e, h, "a", +1, xs=xs)
+    span = float(xs[-1] - xs[0])
+    chi_id = CutoffSpec(center=float(xs[-1]) + 0.3 * span,
+                        r1=0.45 * span, r2=0.9 * span)
+    exact = wronlab._exact_solutions(sym, e, 1.0, xs)[0]
+    u_id = GridFunction(u.x0, u.dx, exact.astype(complex))
+    # a transition narrower than a cell, between two grid points: chi steps
+    # from 0 to 1 with chi' = chi'' = 0 on the whole grid
+    k, dx = len(xs) // 2, u.dx
+    center = float(xs[-1]) + 0.1 * span
+    r1 = center - (float(xs[k]) + 0.5 * dx)
+    step = CutoffSpec(center=center, r1=r1, r2=r1 + 1e-6 * dx)
+    return {
+        "chi_a": (sym, h, chi_a, u),
+        "chi_a_prime": (sym, h, chi_ap, u),
+        "chi_2": (sym, h, chi_2, u),
+        "identity": (sym, 1.0, chi_id, u_id),
+        "left_edge": (sym, h, _edge_cutoff(xs, 0), u),
+        "right_edge": (sym, h, _edge_cutoff(xs, -1), u),
+        "radius_1e300": (sym, h, CutoffSpec(center=turning_points(sym, e)[1],
+                                            r1=0.1, r2=1e300), u),
+        "subgrid_step": (sym, h, step, u),
+    }
+
+
+WINDOW_CASES = _window_cases()
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+def test_windowed_commutator_equals_the_full_grid_bit_for_bit(name):
+    sym, h, chi, u = WINDOW_CASES[name]
+    tol = np.inf if name in ("identity", "subgrid_step") else None
+    got = apply_commutator(sym, h, chi, u, check_tol=tol)
+    assert np.array_equal(got.values, commutator_full(sym, h, chi, u).values)
+    lo, hi = wronlab._cutoff_profile(sym, chi, u.x0, u.dx, u.n).window
+    if name == "radius_1e300":     # chi = 1 on the whole grid
+        assert (lo, hi) == (0, 0)
+        assert not np.any(got.values)
+    elif name.endswith("edge"):
+        assert (lo == 0) == (name == "left_edge")
+        assert (hi == u.n) == (name == "right_edge")
+    else:
+        assert 0 < lo < hi < u.n
+        assert not np.any(got.values[:lo]) and not np.any(got.values[hi:])
 
 
 def test_exact_wronskian_identity(harmonic):
